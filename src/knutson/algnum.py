@@ -17,15 +17,23 @@ tables need:
 
 Plain int and fractions.Fraction mix freely with both via the arithmetic
 dunders, and the module-level helpers (conj_value, value_is_zero,
-approx_value, rational_value) dispatch over all four kinds.
+approx_value, rational_value, residue_value) dispatch over all four kinds.
+
+ResidueField is a ring homomorphism from such values into F_p for one
+large prime p; it lets exact integer results (fusion coefficients) be
+read off from modular arithmetic on plain ints.
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
+
+from .numtheory import factorize
+
 Rational = Fraction
 
 _RATIONAL_TYPES = (int, Fraction)
@@ -172,7 +180,14 @@ class MultiQuadratic:
         return (self - o).is_zero()
 
     def __hash__(self):
+        # A rational value must hash like the int or Fraction it equals.
+        if self.is_rational():
+            return hash(self.coeffs.get(1, Fraction(0)))
         return hash(frozenset(self.coeffs.items()))
+
+    def residue(self, field: "ResidueField") -> int:
+        terms = (field.rational(c) * field.sqrt(d) for d, c in self.coeffs.items())
+        return sum(terms) % field.p
 
     def __repr__(self):
         if not self.coeffs:
@@ -415,7 +430,21 @@ class CyclotomicTau:
 
     def __hash__(self):
         cb, ct = self.canonical()
+        if not any(ct) and not any(cb[1:]):
+            # A rational value must hash like the int or Fraction it equals.
+            return hash(cb[0])
         return hash((self.m, self.tau_sq, cb, ct))
+
+    def residue(self, field: "ResidueField") -> int:
+        if (self.m, self.tau_sq) != (field.m, field.tau_sq):
+            raise ValueError(
+                f"value in context ({self.m},{self.tau_sq}) but residue field "
+                f"built for ({field.m},{field.tau_sq})"
+            )
+        base = field.cyclotomic(self.base)
+        if not self.tau:
+            return base
+        return (base + field.tau * field.cyclotomic(self.tau)) % field.p
 
     def __repr__(self):
         def fmt(comp, suffix=""):
@@ -449,6 +478,13 @@ def rational_value(x) -> Fraction:
     return x.rational_value()
 
 
+def residue_value(x, field: "ResidueField") -> int:
+    """phi(x) in F_p, for a value of the kinds field was built from."""
+    if isinstance(x, _RATIONAL_TYPES):
+        return field.rational(x)
+    return x.residue(field)
+
+
 def approx_value(x) -> complex:
     if isinstance(x, _RATIONAL_TYPES):
         return complex(x)
@@ -461,3 +497,165 @@ def values_equal(x, y) -> bool:
     if isinstance(x, _RATIONAL_TYPES):
         x, y = y, x
     return x == y
+
+
+# ---------------------------------------------------------------------------
+# reduction into a prime field
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_square_mod(a: int, p: int) -> bool:
+    """Euler's criterion, for an odd prime p not dividing a."""
+    return pow(a, (p - 1) // 2, p) == 1
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p.
+
+    Tonelli-Shanks: write p - 1 = q * 2^s with q odd and walk the 2-power
+    part of the unit group with a fixed non-residue z.
+    """
+    a %= p
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while _is_square_mod(z, p):
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        if i == s:
+            raise ValueError(f"{a} is not a square modulo {p}")
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _primitive_root_of_unity(m: int, p: int) -> int:
+    """An element of order exactly m in F_p^*, for m dividing p - 1."""
+    primes = [r for r, _e in factorize(m)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // m, p)
+        if all(pow(w, m // r, p) != 1 for r in primes):
+            return w
+        g += 1
+
+
+@dataclass(frozen=True)
+class ResidueField:
+    """A ring homomorphism phi from exact character values into F_p.
+
+    zeta_m goes to omega, a primitive m-th root of unity mod p; tau goes
+    to a square root of tau_sq mod p; sqrt(d) goes to the product of the
+    chosen square roots of the primes dividing |d| (with multiplicity),
+    times a square root i of -1 when d < 0.  The last rule reproduces
+    _mul_radicals, so phi respects the MultiQuadratic product, and omega
+    is a root of Phi_m mod p, so phi is well defined on the sparse
+    CyclotomicTau representation without reduction.  A rational a/b with
+    p not dividing b goes to a * b^-1.
+    """
+
+    p: int
+    m: int
+    tau_sq: int
+    powers: tuple[int, ...]  # omega^e for 0 <= e < m
+    tau: int
+    roots: dict[int, int]  # prime r, and -1 -> the chosen square root mod p
+
+    @classmethod
+    def for_values(cls, values, bound: int) -> "ResidueField":
+        """The field for the given values, with p deterministic.
+
+        p is the least prime p = 1 (mod lcm(4, m)) above bound, 2^61 and
+        every coefficient denominator for which tau_sq and every prime
+        dividing a radicand are squares mod p.
+        """
+        context = None
+        primes: set[int] = set()
+        den = 1
+        for v in values:
+            if isinstance(v, Fraction):
+                den = max(den, v.denominator)
+            elif isinstance(v, MultiQuadratic):
+                for d, c in v.coeffs.items():
+                    den = max(den, c.denominator)
+                    primes.update(r for r, _e in factorize(abs(d)))
+            elif isinstance(v, CyclotomicTau):
+                if context is None:
+                    context = (v.m, v.tau_sq)
+                elif context != (v.m, v.tau_sq):
+                    raise ValueError(
+                        f"mixed cyclotomic contexts: {context} vs ({v.m},{v.tau_sq})"
+                    )
+                for c in (*v.base.values(), *v.tau.values()):
+                    den = max(den, c.denominator)
+        m, tau_sq = context or (1, 0)
+        step = lcm(4, m)
+        low = max(2**61, bound, den)
+        p = low + 1 + (-low) % step  # least p > low with p = 1 mod step
+        squares = sorted(primes) + ([tau_sq] if tau_sq else [])
+        while not (_is_prime(p) and all(_is_square_mod(a, p) for a in squares)):
+            p += step
+        omega = _primitive_root_of_unity(m, p)
+        powers = [1]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * omega % p)
+        roots = {r: _sqrt_mod(r, p) for r in primes}
+        roots[-1] = _sqrt_mod(-1, p)
+        tau = _sqrt_mod(tau_sq, p) if tau_sq else 0
+        return cls(p, m, tau_sq, tuple(powers), tau, roots)
+
+    def rational(self, x) -> int:
+        if isinstance(x, int):
+            return x % self.p
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
+
+    def sqrt(self, d: int) -> int:
+        """phi(sqrt(d)) for a nonzero integer d."""
+        p = self.p
+        out = self.roots[-1] if d < 0 else 1
+        for r, e in factorize(abs(d)):
+            out = out * pow(self.roots[r], e, p) % p
+        return out
+
+    def cyclotomic(self, comp: dict) -> int:
+        """phi of sum c_e zeta_m^e, for a sparse exponent -> coefficient map."""
+        powers = self.powers
+        return sum(self.rational(c) * powers[e] for e, c in comp.items()) % self.p

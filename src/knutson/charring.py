@@ -1,17 +1,22 @@
 """The representation ring over a character table.
 
-Tensor decomposition goes through exact inner products of pointwise
-value products -- one code path for S_n, A_n and SL2 alike, with
-orthogonality doing the bookkeeping.  Fusion matrices are cached on the
-table, since Knutson-index runs touch every character.
+Fusion matrices follow Dixon's modular method (J. D. Dixon, "High speed
+computation of group characters", Numer. Math. 10, 1967).  A fusion
+coefficient N = <chi_a chi_c, chi_b> is a non-negative integer with
+N * chi_b(1) <= chi_a(1) * chi_c(1), so it is read off exactly from its
+image under one ring homomorphism phi from the table's values into F_p
+(algnum.ResidueField), for a prime p above that bound and above |G|.
+Each table's values are mapped once; every fusion matrix is then plain
+integer dot products mod p, cached on the table, since Knutson-index
+runs touch every character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
-from .algnum import value_is_zero
+from .algnum import ResidueField, conj_value, residue_value, value_is_zero
 from .chartable import CharacterTable
 
 
@@ -65,39 +70,77 @@ def inner_product(x: VirtualCharacter, y: VirtualCharacter) -> int:
     return got.numerator
 
 
-def _row_product(table: CharacterTable, a: int, c: int) -> tuple:
-    return tuple(
-        va * vc
-        for va, vc in zip(table.irreps[a].values, table.irreps[c].values)
-    )
+def _residue_rows(table: CharacterTable) -> tuple[int, list, list]:
+    """(p, phi(chi_b(k)), phi(|C_k| conj(chi_b(k)) / |G|)), once per table."""
+    if table._residue_rows is None:
+        degrees = table.degrees
+        field = ResidueField.for_values(
+            (v for ir in table.irreps for v in ir.values),
+            max(table.order, max(degrees) ** 2),
+        )
+        p = field.p
+        inv_order = pow(table.order, -1, p)
+        scale = [cls.size * inv_order % p for cls in table.classes]
+        rows = [[residue_value(v, field) for v in ir.values] for ir in table.irreps]
+        weighted = [
+            [
+                s * residue_value(conj_value(v), field) % p
+                for s, v in zip(scale, ir.values)
+            ]
+            for ir in table.irreps
+        ]
+        table._residue_rows = (p, rows, weighted)
+    return table._residue_rows
 
 
 def tensor_decompose(table: CharacterTable, a: int, c: int) -> tuple[int, ...]:
-    """Multiplicities N with chi_a * chi_c = sum_b N_b chi_b."""
-    prod_vals = _row_product(table, a, c)
-    out = []
-    for b in range(len(table.irreps)):
-        got = table.inner_product_rows(prod_vals, table.irreps[b].values)
-        if got.denominator != 1 or got < 0:
-            raise AssertionError(
-                f"bad multiplicity {got} of {table.irreps[b].label} in "
-                f"{table.irreps[a].label} * {table.irreps[c].label}"
-            )
-        out.append(got.numerator)
-    degrees = table.degrees
-    if sum(n * d for n, d in zip(out, degrees)) != degrees[a] * degrees[c]:
-        raise AssertionError("tensor decomposition degree identity fails")
-    return tuple(out)
+    """Multiplicities N with chi_a * chi_c = sum_b N_b chi_b.
+
+    Column c of fusion_matrix(table, a).
+    """
+    return tuple(row[c] for row in fusion_matrix(table, a))
 
 
 def fusion_matrix(table: CharacterTable, a: int) -> list[list[int]]:
-    """M with M[b][c] = multiplicity of chi_b in chi_a * chi_c, cached."""
+    """M with M[b][c] = multiplicity of chi_b in chi_a * chi_c, cached.
+
+    M[b][c] is computed as the residue of the inner product
+    (1/|G|) sum_k |C_k| chi_a(k) chi_c(k) conj(chi_b(k)) under phi.  The
+    exact inner product is a rational whose denominator is a product of
+    |G| and value denominators, all below the prime p, and phi fixes
+    rationals with denominators prime to p; so the residue is the exact
+    value mod p.  That value is the integer N, and 0 <= N < p because
+    N * chi_b(1) <= chi_a(1) * chi_c(1) < p, so the residue is N itself.
+    Every column is checked: each entry must satisfy that range bound,
+    and sum_b N_b chi_b(1) must equal chi_a(1) chi_c(1); a table whose
+    values break either raises AssertionError.
+    """
     cached = table._fusion_cache.get(a)
     if cached is not None:
         return cached
-    n = len(table.irreps)
-    cols = [tensor_decompose(table, a, c) for c in range(n)]
-    matrix = [[cols[c][b] for c in range(n)] for b in range(n)]
+    p, rows, weighted = _residue_rows(table)
+    row_a = rows[a]
+    left = [[x * w % p for x, w in zip(row_a, wb)] for wb in weighted]
+    matrix = [[sum(map(mul, lb, rc)) % p for rc in rows] for lb in left]
+    degrees = table.degrees
+    for c, dc in enumerate(degrees):
+        want = degrees[a] * dc
+        total = 0
+        for b, db in enumerate(degrees):
+            n = matrix[b][c] * db
+            if n > want:
+                raise AssertionError(
+                    f"multiplicity of {table.irreps[b].label} in "
+                    f"{table.irreps[a].label} * {table.irreps[c].label} out of "
+                    f"range: residue {matrix[b][c]} mod {p}"
+                )
+            total += n
+        if total != want:
+            raise AssertionError(
+                f"tensor decomposition degree identity fails for "
+                f"{table.irreps[a].label} * {table.irreps[c].label}: "
+                f"{total} != {want}"
+            )
     table._fusion_cache[a] = matrix
     return matrix
 

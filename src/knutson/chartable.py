@@ -37,6 +37,7 @@ class CharacterTable:
     irreps: tuple[Irrep, ...]
     identity_index: int = 0
     _fusion_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _residue_rows: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.classes = tuple(self.classes)

@@ -22,23 +22,28 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from math import lcm
 
 from .algnum import CyclotomicTau, MultiQuadratic
-from .chartable import CharacterTable, ConjClass, Irrep
-from .errors import CapExceededError
+from .chartable import (
+    CharacterTable,
+    ConjClass,
+    Irrep,
+    zero_in_every_nontrivial_column,
+)
+from .errors import CapExceededError, TableError
 from .knutsonlat import (
     generalized_lower_bound,
     knutson_index_char,
     knutson_index_group,
     min_rho_search,
     verify_rho_pm_obstruction,
-    zero_column_criterion,
 )
 from .numtheory import is_loeschian, quadform_xxyy, sigma3
 from .partitions import count_t_cores, exists_t_core, find_t_core
 from .sequences import seq_L_An, seq_L_Sn, seq_zero_columns_sn
-from .sl2tables import paper_rho_inverses, psl2_table, sl2_table
-from .symchar import an_table, sn_table
+from .sl2tables import Sl2Param, paper_rho_inverses, psl2_table, sl2_table
+from .symchar import DEFAULT_CAP, an_table, sn_table
 
 CACHE_VERSION = 1
 
@@ -181,10 +186,21 @@ def cache_store(key: str, table: CharacterTable) -> None:
         raise
 
 
+def _check_cap(kind: str, param: int) -> None:
+    """The builders' default cap, checked before any cache read."""
+    if kind in ("sn", "an"):
+        cap = DEFAULT_CAP
+    else:
+        cap = Sl2Param.from_q(param).default_cap
+    if param > cap:
+        raise CapExceededError(f"{kind}_table({param}) exceeds cap {cap}")
+
+
 def get_table(kind: str, param: int, use_cache: bool = True) -> CharacterTable:
     builders = {"sn": sn_table, "an": an_table, "sl2": sl2_table, "psl2": psl2_table}
     if kind not in builders:
         raise UsageError(f"unknown group kind {kind!r}")
+    _check_cap(kind, param)
     key = f"{kind}-{param}"
     if use_cache:
         cached = cache_load(key)
@@ -275,21 +291,36 @@ def cmd_seq(args) -> int:
 def cmd_knutson(args) -> int:
     table = get_table(args.kind, args.param, use_cache=not args.no_cache)
     report: dict = {"group": table.label, "order": table.order}
+    # Each per-character index is computed at most once: the group index
+    # is their lcm, and the zero-column criterion reuses it.
+    indices: dict[int, int] = {}
     if args.char is not None:
-        idx = table.irrep_index(args.char)
+        try:
+            idx = table.irrep_index(args.char)
+        except KeyError:
+            raise UsageError(
+                f"unknown character {args.char!r} for {table.label}"
+            ) from None
+        indices[idx] = knutson_index_char(table, idx)
         report["character"] = args.char
-        report["index"] = knutson_index_char(table, idx)
+        report["index"] = indices[idx]
     else:
-        per = {
-            ir.label: knutson_index_char(table, i)
-            for i, ir in enumerate(table.irreps)
+        indices = {
+            i: knutson_index_char(table, i) for i in range(len(table.irreps))
         }
-        report["per_character"] = per
-        report["knutson_index"] = knutson_index_group(table)
+        report["per_character"] = {
+            ir.label: indices[i] for i, ir in enumerate(table.irreps)
+        }
+        report["knutson_index"] = lcm(*indices.values())
     report["L"] = table.degree_lcm()
     bound = generalized_lower_bound(table)
     report["generalized_lower_bound"] = f"{bound}"
-    zc = zero_column_criterion(table)
+    zc = None
+    if zero_in_every_nontrivial_column(table):
+        zc = lcm(*(
+            indices[i] if i in indices else knutson_index_char(table, i)
+            for i in range(len(table.irreps))
+        ))
     report["zero_column_criterion"] = (
         None if zc is None else {"certified_K_prime_equals_K": zc}
     )
@@ -517,6 +548,10 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, TableError) as exc:
+        detail = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"error: verification failed: {detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -82,6 +82,11 @@ class Sl2Param:
     def order(self) -> int:
         return self.q * (self.q * self.q - 1)
 
+    @property
+    def default_cap(self) -> int:
+        """Largest q whose table is built when no cap is given."""
+        return EVEN_CAP if self.is_even else ODD_CAP
+
 
 def _zeta(par: Sl2Param, k: int) -> CyclotomicTau:
     return CyclotomicTau.root_of_unity(par.m, k, par.tau_sq)
@@ -219,7 +224,7 @@ def sl2_table(q: int, cap: int | None = None) -> CharacterTable:
     """Exact character table of SL2(q); orthogonality-validated."""
     par = Sl2Param.from_q(q)
     if cap is None:
-        cap = EVEN_CAP if par.is_even else ODD_CAP
+        cap = par.default_cap
     if q > cap:
         raise CapExceededError(f"sl2_table({q}) exceeds cap {cap}")
     return _sl2_cached(q)
@@ -296,7 +301,7 @@ def psl2_table(q: int, cap: int | None = None) -> CharacterTable:
     """Exact character table of PSL2(q); equals SL2(q) for even q."""
     par = Sl2Param.from_q(q)
     if cap is None:
-        cap = EVEN_CAP if par.is_even else ODD_CAP
+        cap = par.default_cap
     if q > cap:
         raise CapExceededError(f"psl2_table({q}) exceeds cap {cap}")
     return _psl2_cached(q)

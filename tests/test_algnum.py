@@ -2,17 +2,21 @@
 
 import cmath
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import isprime
 
 from knutson.algnum import (
     CyclotomicTau,
     MultiQuadratic,
+    ResidueField,
     approx_value,
     conj_value,
     cyclotomic_polynomial,
     rational_value,
+    residue_value,
     squarefree_decompose,
     value_is_zero,
     values_equal,
@@ -143,3 +147,87 @@ def test_generic_helpers_dispatch():
     assert values_equal(MultiQuadratic.from_rational(4), 4)
     assert values_equal(4, MultiQuadratic.from_rational(4))
     assert not values_equal(MultiQuadratic.sqrt(2), 1)
+
+
+def test_rational_values_hash_like_rationals():
+    assert len({MultiQuadratic.from_rational(4), 4}) == 1
+    assert hash(MultiQuadratic.from_rational(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(MultiQuadratic()) == hash(0)
+    assert len({CyclotomicTau.rational(5, 0, 3), 3}) == 1
+    assert hash(CyclotomicTau.rational(8, 5, Fraction(-1, 4))) == hash(Fraction(-1, 4))
+    # a rational value held in non-canonical form hashes like its rational
+    z = CyclotomicTau.root_of_unity(5, 1)
+    total = 1 + z + z * z + z * z * z + z * z * z * z
+    assert total == 0 and hash(total) == hash(0)
+    tau = CyclotomicTau.tau_element(12, -3)
+    assert hash(tau * tau) == hash(-3)
+
+
+def _check_field(field, m):
+    p = field.p
+    assert p > 2**61 and (p - 1) % lcm(4, m) == 0 and isprime(p)
+    assert field.roots[-1] ** 2 % p == p - 1
+    for r, s in field.roots.items():
+        assert s * s % p == r % p
+
+
+@settings(max_examples=40)
+@given(multiquads, multiquads)
+def test_residue_field_multiquadratic_homomorphism(x, y):
+    field = ResidueField.for_values([x, y, MultiQuadratic.sqrt(30)], 1)
+    _check_field(field, 1)
+    p = field.p
+
+    def phi(v):
+        return residue_value(v, field)
+
+    assert phi(x * y) == phi(x) * phi(y) % p
+    assert phi(x + y) == (phi(x) + phi(y)) % p
+    assert phi(x - y) == (phi(x) - phi(y)) % p
+
+
+@settings(max_examples=40)
+@given(cyclo_values(), cyclo_values())
+def test_residue_field_cyclotomic_homomorphism(x, y):
+    field = ResidueField.for_values([x, y], 1)
+    _check_field(field, 12)
+    p = field.p
+
+    def phi(v):
+        return residue_value(v, field)
+
+    assert phi(x * y) == phi(x) * phi(y) % p
+    assert phi(x + y) == (phi(x) + phi(y)) % p
+    assert phi(x.conj() * x) == phi(x.conj()) * phi(x) % p
+
+
+def test_residue_field_fixes_rationals_and_roots():
+    tau = CyclotomicTau.tau_element(20, 5)
+    field = ResidueField.for_values([tau], 10**20)
+    p = field.p
+    assert p > 10**20 and (p - 1) % 20 == 0
+    # omega has order exactly 20; Phi_20 vanishes at it
+    omega = residue_value(CyclotomicTau.root_of_unity(20, 1, 5), field)
+    assert pow(omega, 20, p) == 1 and all(pow(omega, 20 // r, p) != 1 for r in (2, 5))
+    assert residue_value(tau * tau, field) == 5
+    assert residue_value(Fraction(7, 3), field) * 3 % p == 7
+    assert residue_value(-4, field) == p - 4
+    with pytest.raises(ValueError):
+        residue_value(CyclotomicTau.root_of_unity(8, 1), field)
+    with pytest.raises(ValueError):  # beyond deterministic Miller-Rabin
+        ResidueField.for_values([], 10**30)
+
+
+def test_residue_field_prime_is_deterministic_and_least():
+    vals = [MultiQuadratic.sqrt(-15), Fraction(1, 2)]
+    f1 = ResidueField.for_values(vals, 1)
+    f2 = ResidueField.for_values(list(reversed(vals)), 1)
+    assert f1.p == f2.p
+    assert isprime(f1.p)
+    # no smaller p = 1 (mod 4) above 2^61 is a prime with 3 and 5 squares mod p
+    for cand in range(2**61 + 1, f1.p, 4):
+        assert not (
+            isprime(cand)
+            and pow(3, (cand - 1) // 2, cand) == 1
+            and pow(5, (cand - 1) // 2, cand) == 1
+        )

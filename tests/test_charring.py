@@ -1,8 +1,10 @@
 """The representation ring: tensor decomposition, fusion, regular character."""
 
 import pytest
+from oracles import fusion_matrix_exact
 
 from knutson.algnum import value_is_zero
+from knutson.chartable import CharacterTable, Irrep
 from knutson.charring import (
     VirtualCharacter,
     evaluate,
@@ -111,3 +113,46 @@ def test_virtual_character_arithmetic():
         VirtualCharacter(table, (1, 2, 3))
     with pytest.raises(ValueError):
         x + VirtualCharacter(sn_table(4), (0,) * 5)  # distinct table objects
+
+
+ORACLE_TABLES = (
+    [(sn_table, n) for n in range(1, 9)]
+    + [(an_table, n) for n in range(3, 10)]
+    + [(sl2_table, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    + [(psl2_table, q) for q in (4, 5, 7, 9, 11, 13)]
+)
+
+
+@pytest.mark.parametrize(
+    "build,param", ORACLE_TABLES, ids=lambda x: getattr(x, "__name__", str(x))
+)
+def test_modular_fusion_matches_exact_oracle(build, param):
+    table = build(param)
+    for a in range(len(table.irreps)):
+        assert fusion_matrix(table, a) == fusion_matrix_exact(table, a)
+
+
+def _perturbed(table: CharacterTable, irrep: int, cls: int) -> CharacterTable:
+    """A copy of table with one non-identity value increased by 1."""
+    assert cls != table.identity_index
+    irreps = list(table.irreps)
+    ir = irreps[irrep]
+    values = list(ir.values)
+    values[cls] = values[cls] + 1
+    irreps[irrep] = Irrep(ir.label, ir.degree, tuple(values))
+    return CharacterTable(
+        table.label, table.order, table.classes, tuple(irreps), table.identity_index
+    )
+
+
+@pytest.mark.parametrize(
+    "table,irrep,cls",
+    [(sn_table(4), 1, 0), (an_table(5), 3, 0), (sl2_table(5), 4, 6)],
+    ids=["S4", "A5", "SL2(5)"],
+)
+def test_perturbed_table_fails_fusion_checks(table, irrep, cls):
+    bad = _perturbed(table, irrep, cls)  # passes validate_basic
+    # the residue range check fires before the degree identity is summed
+    with pytest.raises(AssertionError, match="out of range"):
+        for a in range(len(bad.irreps)):
+            fusion_matrix(bad, a)

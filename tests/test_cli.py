@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from knutson import cli
 from knutson.algnum import CyclotomicTau, MultiQuadratic, values_equal
+from knutson.chartable import CharacterTable, Irrep
 from knutson.cli import (
     cache_load,
     cache_store,
@@ -16,6 +18,7 @@ from knutson.cli import (
     value_to_json,
 )
 from knutson.sl2tables import sl2_table
+from knutson.errors import TableError
 from knutson.symchar import an_table, sn_table
 
 
@@ -159,3 +162,43 @@ def test_exit_code_usage(capsys):
 def test_exit_code_bad_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_exit_code_unknown_char(capsys):
+    assert main(["knutson", "sl2", "5", "--char", "foo"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "foo" in err
+
+
+@pytest.mark.parametrize("exc", [AssertionError, TableError])
+def test_exit_code_verification_failure(capsys, monkeypatch, exc):
+    def broken(n):
+        raise exc("orthogonality fails\nat (c, d)")
+
+    monkeypatch.setattr(cli, "sn_table", broken)
+    assert main(["table", "sn", "4", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_exit_code_fusion_range_check(capsys, monkeypatch):
+    # one value of S4 raised by 1: validate_basic passes, fusion does not
+    good = sn_table(4)
+    ir = good.irreps[1]
+    bad_row = Irrep(ir.label, ir.degree, (ir.values[0] + 1,) + ir.values[1:])
+    bad = CharacterTable(
+        good.label, good.order, good.classes,
+        (good.irreps[0], bad_row) + good.irreps[2:], good.identity_index,
+    )
+    monkeypatch.setattr(cli, "sn_table", lambda n: bad)
+    assert main(["knutson", "sn", "4", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: verification failed") and err.count("\n") == 1
+
+
+def test_cap_checked_before_cache(capsys):
+    cache_store("sn-23", sn_table(4))  # a validly checksummed entry
+    assert cache_load("sn-23") is not None
+    assert main(["table", "sn", "23"]) == 3
+    assert "exceeds cap" in capsys.readouterr().err
