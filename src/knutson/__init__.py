@@ -24,7 +24,6 @@ from .knutsonlat import (
     knutson_index_group,
     min_multiplier,
     min_rho_search,
-    smith_normal_form,
     solve_integer,
     verify_rho_pm_obstruction,
     zero_column_criterion,
@@ -99,7 +98,6 @@ __all__ = [
     "seq_zero_columns_sn",
     "sigma3",
     "sl2_table",
-    "smith_normal_form",
     "sn_table",
     "solve_integer",
     "tensor_decompose",

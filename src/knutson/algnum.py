@@ -39,6 +39,7 @@ Rational = Fraction
 _RATIONAL_TYPES = (int, Fraction)
 
 
+@cache
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """n = g*g*d with d squarefree (d keeps the sign of n); returns (g, d)."""
     if n == 0:
@@ -81,7 +82,16 @@ class MultiQuadratic:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        self.coeffs = {d: c for d, c in (coeffs or {}).items() if c != 0}
+        """Any nonzero integer radicands; each is reduced to squarefree form."""
+        out: dict[int, Fraction] = {}
+        for d, c in (coeffs or {}).items():
+            if d == 0:
+                continue  # sqrt(0) = 0
+            g, d = squarefree_decompose(d)
+            if g != 1:
+                c *= g
+            out[d] = out[d] + c if d in out else c
+        self.coeffs = {d: c for d, c in out.items() if c != 0}
 
     @classmethod
     def from_rational(cls, r) -> "MultiQuadratic":
@@ -91,8 +101,6 @@ class MultiQuadratic:
     def sqrt(cls, n: int, scale=1) -> "MultiQuadratic":
         """scale * sqrt(n) for any nonzero integer n."""
         g, d = squarefree_decompose(n)
-        if d == 1:
-            return cls({1: Fraction(scale) * g})
         return cls({d: Fraction(scale) * g})
 
     def _coerce(self, other):

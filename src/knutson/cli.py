@@ -46,6 +46,7 @@ from .sl2tables import Sl2Param, paper_rho_inverses, psl2_table, sl2_table
 from .symchar import DEFAULT_CAP, an_table, sn_table
 
 CACHE_VERSION = 1
+CORES_MAX_N = 60  # the partition range find_t_core enumerates in bounded time
 
 
 class UsageError(Exception):
@@ -356,6 +357,8 @@ def cmd_knutson(args) -> int:
 
 def cmd_cores(args) -> int:
     n, t = args.n, args.t
+    if n > CORES_MAX_N:
+        raise CapExceededError(f"cores --n {n} exceeds cap {CORES_MAX_N}")
     result = {
         "n": n,
         "t": t,
@@ -529,7 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_cores = sub.add_parser("cores", help="t-core existence and counting")
-    p_cores.add_argument("--n", type=int, required=True)
+    p_cores.add_argument(
+        "--n", type=int, required=True,
+        help=f"the number partitioned, at most {CORES_MAX_N} (else exit 3)",
+    )
     p_cores.add_argument("--t", type=int, required=True)
     p_cores.add_argument("--format", choices=["text", "json"], default="text")
     p_cores.set_defaults(func=cmd_cores)

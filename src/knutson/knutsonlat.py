@@ -1,20 +1,18 @@
 """Integer lattices and Knutson indices.
 
-Smith normal form over Z decides whether chi (x) lambda = rho has a
-virtual-character solution, and the divisibility conditions it exposes
-give the least n with n*rho_reg in the image -- the per-character
-Knutson index.  Everything is arbitrary precision; every factorization
-and every witness is re-verified on construction.
+One engine serves every lattice question: the Hermite normal form over
+Z of the lattice spanned by a matrix's columns, with the transform
+tracked.  Solving a vector against that echelon basis over Q gives the
+least n with n*v in the lattice -- the per-character Knutson index when
+M is chi's fusion matrix and v = rho_reg -- and an integer solution of
+M*x = b when n is 1.  Everything is arbitrary precision; every witness
+is re-verified before it is used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-from sympy import Matrix as SymMatrix
-from sympy.matrices.normalforms import hermite_normal_form
+from math import gcd, lcm
 
 from .algnum import value_is_zero
 from .chartable import CharacterTable, zero_in_every_nontrivial_column
@@ -28,169 +26,88 @@ from .sl2tables import (
 Matrix = list[list[int]]
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0])
-    return [
-        [sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for ra in a
-    ]
-
-
 def _mat_vec(a: Matrix, v: list[int]) -> list[int]:
     return [sum(r[k] * v[k] for k in range(len(v))) for r in a]
 
 
-def _det_bareiss(m: Matrix) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _sub_multiple(g: list[int], h: list[int], q: int, start: int) -> None:
+    """g -= q*h in place, for entries from start on (h is zero before)."""
+    if q:
+        g[start:] = [a - q * b for a, b in zip(g[start:], h[start:])]
 
 
-@dataclass
-class SNFResult:
-    """U * M * V = D with U, V unimodular and d1 | d2 | ... on D."""
+def hermite_basis(m: Matrix) -> list[tuple[int, list[int], list[int]]]:
+    """Hermite normal form of the lattice spanned by the columns of M.
 
-    U: Matrix
-    D: Matrix
-    V: Matrix
-    rank: int
-
-    @property
-    def diagonal(self) -> list[int]:
-        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0])))]
-
-
-def smith_normal_form(m: Matrix, verify: bool = True) -> SNFResult:
-    """Smith normal form with minimal-absolute-value pivoting."""
-    rows, cols = len(m), len(m[0])
-    d = [row[:] for row in m]
-    u, v = _identity(rows), _identity(cols)
-    t = 0
-    while t < min(rows, cols):
-        pivot, best = None, None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                e = abs(d[i][j])
-                if e and (best is None or e < best):
-                    best, pivot = e, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        d[t], d[pi] = d[pi], d[t]
-        u[t], u[pi] = u[pi], u[t]
-        for row in d:
-            row[t], row[pj] = row[pj], row[t]
-        for row in v:
-            row[t], row[pj] = row[pj], row[t]
-
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    for j in range(cols):
-                        d[i][j] -= q * d[t][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[t][j]
-                    if d[i][t]:  # remainder is a smaller pivot
-                        d[t], d[i] = d[i], d[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    for i in range(rows):
-                        d[i][j] -= q * d[i][t]
-                    for i in range(cols):
-                        v[i][j] -= q * v[i][t]
-                    if d[t][j]:
-                        for row in d:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-        # force divisibility of the remaining block by the pivot
-        piv = d[t][t]
-        offender = next(
-            (
-                (i, j)
-                for i in range(t + 1, rows)
-                for j in range(t + 1, cols)
-                if d[i][j] % piv
-            ),
-            None,
-        )
-        if offender is not None:
-            i, _j = offender
-            for j in range(cols):
-                d[t][j] += d[i][j]
-            for j in range(rows):
-                u[t][j] += u[i][j]
-            continue  # re-run elimination at the same t
-        if piv < 0:
-            for j in range(cols):
-                d[t][j] = -d[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-        t += 1
-    result = SNFResult(u, d, v, t)
-    if verify:
-        _verify_snf(m, result)
-    return result
+    Each column of M is a generator; a row echelon over Z runs Euclid's
+    algorithm on one coordinate at a time and then reduces the entries
+    of the earlier basis vectors at the new pivot.  Returns one
+    (p, h, t) per basis vector, in echelon order: h is zero before its
+    pivot coordinate p, h[p] > 0, every earlier basis vector's entry at
+    p lies in [0, h[p]), and h = M*t with t integral.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    # generator j: column j of M followed by the unit vector e_j, so the
+    # tail of every row is its transform
+    gens = [
+        [m[i][j] for i in range(rows)] + [int(k == j) for k in range(cols)]
+        for j in range(cols)
+    ]
+    basis: list[tuple[int, list[int]]] = []
+    for p in range(rows):
+        active = [g for g in gens if g[p]]
+        if not active:
+            continue
+        while len(active) > 1:
+            pivot = min(active, key=lambda g: abs(g[p]))
+            for g in active:
+                if g is not pivot:
+                    _sub_multiple(g, pivot, g[p] // pivot[p], p)
+            active = [g for g in active if g[p]]
+        pivot = active[0]
+        if pivot[p] < 0:
+            pivot[p:] = [-a for a in pivot[p:]]
+        for _, b in basis:
+            _sub_multiple(b, pivot, b[p] // pivot[p], p)
+        basis.append((p, pivot))
+        gens = [g for g in gens if g is not pivot]
+    return [(p, g[:rows], g[rows:]) for p, g in basis]
 
 
-def _verify_snf(m: Matrix, res: SNFResult) -> None:
-    got = _mat_mul(_mat_mul(res.U, m), res.V)
-    if got != res.D:
-        raise AssertionError("SNF identity U*M*V = D fails")
-    diag = res.diagonal
-    for i in range(min(len(res.D), len(res.D[0]))):
-        for j in range(len(res.D[0])):
-            if i != j and res.D[i][j]:
-                raise AssertionError("SNF result is not diagonal")
-    for a, b in zip(diag, diag[1:]):
-        if a == 0 and b != 0:
-            raise AssertionError("SNF zero before nonzero on the diagonal")
-        if a and b % a:
-            raise AssertionError("SNF divisibility chain fails")
-    if abs(_det_bareiss(res.U)) != 1 or abs(_det_bareiss(res.V)) != 1:
-        raise AssertionError("SNF transform is not unimodular")
+def _lattice_solve(m: Matrix, v: list[int]) -> tuple[int, list[int]] | None:
+    """(n, x) with n >= 1 least such that M*x = n*v has an integer x.
+
+    None when v is not in the rational span of M's columns.  v is
+    written in the Hermite basis one pivot at a time, v = sum y_i h_i
+    over Q; the basis is a Z-basis of the column lattice, so n is the
+    lcm of the denominators of the y_i and x = sum (n*y_i) t_i.
+    """
+    basis = hermite_basis(m)
+    n, w, z = 1, list(v), []  # w = n*(v - sum of the y_i*h_i so far)
+    for p, h, _ in basis:
+        s = h[p] // gcd(w[p], h[p])
+        if s != 1:
+            n *= s
+            w = [s * a for a in w]
+            z = [s * a for a in z]
+        q = w[p] // h[p]
+        z.append(q)
+        if q:
+            w = [a - q * b for a, b in zip(w, h)]
+    if any(w):
+        return None
+    cols = len(m[0]) if m else 0
+    x = [sum(q * t[j] for q, (_, _, t) in zip(z, basis)) for j in range(cols)]
+    return n, x
 
 
 def solve_integer(m: Matrix, b: list[int]) -> list[int] | None:
     """An integer x with M*x = b, or None; witnesses are re-verified."""
-    snf = smith_normal_form(m)
-    y = _mat_vec(snf.U, b)
-    coords = [0] * len(m[0])
-    for i, yi in enumerate(y):
-        if i < snf.rank:
-            di = snf.D[i][i]
-            q, r = divmod(yi, di)
-            if r:
-                return None
-            coords[i] = q
-        elif yi:
-            return None
-    x = _mat_vec(snf.V, coords)
+    solved = _lattice_solve(m, b)
+    if solved is None or solved[0] != 1:
+        return None
+    x = solved[1]
     if _mat_vec(m, x) != list(b):
         raise AssertionError("integer solve verification failed")
     return x
@@ -199,23 +116,15 @@ def solve_integer(m: Matrix, b: list[int]) -> list[int] | None:
 def min_multiplier(m: Matrix, v: list[int]) -> int | None:
     """Least n >= 1 with n*v in the integer column span of M, or None.
 
-    The column lattice is re-based via its Hermite normal form, whose
-    entries stay small even where transform-tracking elimination blows
-    up; the independent HNF columns then determine a unique rational
-    solution of H*y = v, and n is the common denominator of y.
+    The integer witness x with M*x = n*v is re-verified.
     """
-    if all(x == 0 for x in v):
-        return 1
-    h = hermite_normal_form(SymMatrix(m))
-    if h.cols == 0:
+    solved = _lattice_solve(m, v)
+    if solved is None:
         return None
-    try:
-        y, params = h.gauss_jordan_solve(SymMatrix(len(v), 1, v))
-    except ValueError:
-        return None
-    if params.rows:
-        raise AssertionError("HNF columns are not independent")
-    return lcm(*(int(entry.q) for entry in y))
+    n, x = solved
+    if _mat_vec(m, x) != [n * a for a in v]:
+        raise AssertionError("min_multiplier witness fails M*x = n*v")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,16 @@ def test_rational_values_hash_like_rationals():
     assert hash(tau * tau) == hash(-3)
 
 
+def test_multiquadratic_reduces_radicands():
+    root4 = MultiQuadratic({4: Fraction(1)})
+    assert root4 == 2 and root4.is_rational() and hash(root4) == hash(2)
+    assert len({root4, 2}) == 1
+    assert MultiQuadratic({12: Fraction(1)}) == MultiQuadratic.sqrt(3, 2)
+    assert MultiQuadratic({-4: Fraction(1)}) == 2 * MultiQuadratic.sqrt(-1)
+    # radicands that reduce to the same squarefree part add up
+    assert MultiQuadratic({1: Fraction(1), 4: Fraction(-1, 2)}) == 0
+
+
 def _check_field(field, m):
     p = field.p
     assert p > 2**61 and (p - 1) % lcm(4, m) == 0 and isprime(p)

@@ -1,6 +1,10 @@
 """CLI surface: exit codes, JSON schema round trips, the table cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,25 @@ def test_table_round_trip_preserves_orthogonality():
         assert back.order == table.order
         assert back.degrees == table.degrees
         back.check_orthogonality()
+
+
+def test_value_from_json_reduces_radicands():
+    root4 = value_from_json({"mq": [[4, 1, 1]]})
+    assert root4 == 2 and root4.is_rational() and hash(root4) == hash(2)
+    assert value_from_json(value_to_json(root4)) == 2
+
+
+def test_no_sympy_at_runtime():
+    code = "import sys, knutson.cli; print('sympy' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cache_round_trip():
@@ -115,6 +138,15 @@ def test_main_cores_json(capsys):
     assert main(["cores", "--n", "6", "--t", "3", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["exists"] == (obj["first_core"] is not None)
+
+
+@pytest.mark.parametrize("n, t", [(200, 2), (80, 4), (120, 13)])
+def test_cores_cap_exits_3(capsys, n, t):
+    assert main(["cores", "--n", str(n), "--t", str(t)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_main_knutson_json(capsys):

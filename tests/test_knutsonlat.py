@@ -4,17 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import min_multiplier_sympy, smith_normal_form, snf_solvable
 
+from knutson import knutsonlat
 from knutson.charring import VirtualCharacter, fusion_matrix, regular_character
 from knutson.knutsonlat import (
     _mat_vec,
     generalized_lower_bound,
+    hermite_basis,
     is_rho_invertible,
     knutson_index_char,
     knutson_index_group,
     min_multiplier,
     min_rho_search,
-    smith_normal_form,
     solve_integer,
     verify_rho_pm_obstruction,
     zero_column_criterion,
@@ -93,6 +95,79 @@ def test_min_multiplier_edge_cases():
     assert min_multiplier([[0, 0], [0, 0]], [1, 0]) is None
     assert min_multiplier([[3]], [2]) == 3
     assert min_multiplier([[2], [3]], [1, 1]) is None  # (1,1) not in span Q
+
+
+def _random_matrix(rng):
+    """1-6 x 1-6 with entries -9..9; some zero, some of deficient rank."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    kind = rng.choice(("dense", "sparse", "zero", "deficient"))
+    if kind == "zero":
+        return [[0] * cols for _ in range(rows)]
+    m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    if kind == "sparse":
+        m = [[x if rng.random() < 0.3 else 0 for x in row] for row in m]
+    elif kind == "deficient" and rows > 1:
+        # the last row repeats a combination of the first two
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (rows - 1)])]
+    return m
+
+
+def test_lattice_engine_against_oracles():
+    rng = random.Random(17)
+    for _ in range(400):
+        m = _random_matrix(rng)
+        rows, cols = len(m), len(m[0])
+        if rng.random() < 0.4:  # a vector of the column lattice
+            x = [rng.randint(-3, 3) for _ in range(cols)]
+            v = _mat_vec(m, x)
+        else:
+            v = [rng.randint(-9, 9) for _ in range(rows)]
+        assert min_multiplier(m, v) == min_multiplier_sympy(m, v), (m, v)
+        assert (solve_integer(m, v) is not None) == snf_solvable(m, v), (m, v)
+
+
+def test_min_multiplier_matches_sympy_on_fusion_matrices():
+    tables = (
+        [sn_table(n) for n in range(1, 9)]
+        + [an_table(n) for n in range(3, 10)]
+        + [sl2_table(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+        + [psl2_table(q) for q in (4, 5, 7, 8, 9, 11, 13)]
+    )
+    for table in tables:
+        degrees = list(table.degrees)
+        for a in range(len(table.irreps)):
+            m = fusion_matrix(table, a)
+            assert min_multiplier(m, degrees) == min_multiplier_sympy(m, degrees), (
+                table.label,
+                a,
+            )
+
+
+def test_hermite_basis_shape():
+    m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    basis = hermite_basis(m)
+    assert [p for p, _, _ in basis] == [0, 1, 2]
+    for i, (p, h, t) in enumerate(basis):
+        assert all(x == 0 for x in h[:p]) and h[p] > 0
+        assert all(0 <= g[p] < h[p] for _, g, _ in basis[:i])
+        assert _mat_vec(m, t) == h
+    # |det| = 2 * 2 * 156 is the product of the pivots
+    assert basis[0][1][0] * basis[1][1][1] * basis[2][1][2] == 624
+    assert hermite_basis([[0, 0], [0, 0]]) == []
+
+
+def test_lattice_witness_is_checked(monkeypatch):
+    real = knutsonlat.hermite_basis
+
+    def wrong_transform(m):
+        return [(p, h, [-x for x in t]) for p, h, t in real(m)]
+
+    monkeypatch.setattr(knutsonlat, "hermite_basis", wrong_transform)
+    with pytest.raises(AssertionError):
+        min_multiplier([[2, 0], [0, 4]], [1, 2])
+    with pytest.raises(AssertionError):
+        solve_integer([[2, 0], [0, 4]], [2, 4])
 
 
 def test_is_rho_invertible_witness():
