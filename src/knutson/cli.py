@@ -46,7 +46,10 @@ from .sl2tables import Sl2Param, paper_rho_inverses, psl2_table, sl2_table
 from .symchar import DEFAULT_CAP, an_table, sn_table
 
 CACHE_VERSION = 1
-CORES_MAX_N = 60  # the partition range find_t_core enumerates in bounded time
+# The largest n for `cores`.  Counting and existence are cheap at any n,
+# but find_t_core's search grows fast with n: at n = 60 it takes about
+# 0.1 s for every t, at n = 300 and t = 13 it runs for minutes.
+CORES_MAX_N = 60
 
 
 class UsageError(Exception):

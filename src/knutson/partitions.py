@@ -4,6 +4,11 @@ Partitions are plain tuples of weakly decreasing positive ints; () is the
 unique partition of 0.  Enumeration order is reverse lexicographic, so
 partitions(4) yields (4), (3,1), (2,2), (2,1,1), (1,1,1,1); every stream
 in the package is reproducible from that order.
+
+t-cores are counted by their generating function, decided by the
+triangular and Loeschian criteria for t = 2, 3 and by Granville-Ono for
+t >= 4, and found by building them row by row from smaller t-cores
+rather than by scanning the p(n) partitions of n.
 """
 
 from functools import cache
@@ -24,17 +29,44 @@ def check_partition(parts: Partition) -> Partition:
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield the partitions of n in reverse lexicographic order."""
+    """Yield the partitions of n with parts at most max_part (default n)
+    in reverse lexicographic order.
+
+    Iterative: each step lowers the last part above 1 by one and refills
+    the tail greedily with parts no larger than it.  The parts above 1
+    sit in a list and the trailing 1s are only counted.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for k in range(max_part, 0, -1):
-        for rest in partitions(n - k, k):
-            yield (k,) + rest
+    k = n if max_part is None or max_part > n else max_part
+    if k < 1:
+        return
+    unit = (1,) * n
+    big: list[int] = []
+    ones = _refill(big, k, n)
+    while True:
+        yield tuple(big) + unit[:ones]
+        if not big:
+            return
+        v = big.pop() - 1
+        ones = _refill(big, v, ones + 1 + v)
+
+
+def _refill(big: list[int], v: int, total: int) -> int:
+    """Append total greedily as parts of size v (then one smaller part)
+    to big, keeping parts of 1 out of it; return how many 1s follow."""
+    if v == 1:
+        return total
+    q, r = divmod(total, v)
+    big += [v] * q
+    if r == 1:
+        return 1
+    if r:
+        big.append(r)
+    return 0
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -91,91 +123,97 @@ def is_t_core(parts: Partition, t: int) -> bool:
     if t < 2:
         raise ValueError("t must be at least 2")
     r = len(parts)
-    beta = [parts[i] + (r - 1 - i) for i in range(r)]
-    beta_set = set(beta)
-    return all(b < t or b - t in beta_set for b in beta)
+    beta = {p + r - 1 - i for i, p in enumerate(parts)}
+    return all(b < t or b - t in beta for b in beta)
 
 
-def count_t_cores(n: int, t: int, enumerate_all: bool | None = None) -> int:
+def count_t_cores(n: int, t: int, enumerate_all: bool = False) -> int:
     """Number of t-core partitions of n.
 
-    For small n this filters the full partition stream with is_t_core.
-    Beyond that (p(n) grows too fast to enumerate) it counts the integer
-    vectors (d_0, ..., d_{t-1}) with sum 0 and
-    n = (t/2) * sum(d_j^2) + sum(j * d_j), which are in bijection with
-    the t-cores of n.  Pass enumerate_all to force either path; the two
-    agree wherever both run (tested).
+    The coefficient of q^n in prod_k (1 - q^(tk))^t / (1 - q^k)
+    (Garvan-Kim-Stanton 1990), in O(n^2) integer operations for every t.
+    enumerate_all=True filters the full partition stream with is_t_core
+    instead; the two agree wherever both run (tested).
     """
     if n < 0 or t < 2:
         raise ValueError("need n >= 0 and t >= 2")
-    if enumerate_all is None:
-        enumerate_all = n <= 40
     if enumerate_all:
         return sum(1 for lam in partitions(n) if is_t_core(lam, t))
-    return _count_t_cores_vectors(n, t)
-
-
-def _count_t_cores_vectors(n: int, t: int) -> int:
-    # t*d^2/2 <= n bounds each coordinate.
-    bound = int((2 * n / t) ** 0.5) + 2
-    count = 0
-
-    def rec(j: int, remaining_sum: int, acc_twice: int) -> None:
-        # acc_twice accumulates 2*[(t/2) sum d^2 + sum j d] to stay integral.
-        nonlocal count
-        if j == t - 1:
-            d = -remaining_sum
-            if acc_twice + t * d * d + 2 * j * d == 2 * n:
-                count += 1
-            return
-        for d in range(-bound, bound + 1):
-            nxt = acc_twice + t * d * d + 2 * j * d
-            if nxt <= 2 * n + 2 * t * bound:
-                rec(j + 1, remaining_sum + d, nxt)
-
-    rec(0, 0, 0)
-    return count
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        for i in range(k, n + 1):
+            series[i] += series[i - k]
+    for k in range(t, n + 1, t):
+        for _ in range(t):
+            for i in range(n, k - 1, -1):
+                series[i] -= series[i - k]
+    return series[n]
 
 
 @cache
 def find_t_core(n: int, t: int) -> Partition | None:
     """First t-core of n in enumeration order, or None.
 
-    This is the explicit witness used to certify vanishing classes; it
-    always searches, even where a fast existence criterion applies.
+    This is the explicit witness used to certify vanishing classes.  It
+    is built, not filtered out of p(n) partitions: dropping the first
+    row j of a t-core (j, mu) removes its largest beta number
+    j + len(mu), and mu is again a t-core.  So the t-cores of m with
+    parts <= k, in enumeration order, are the (j, mu) for j from
+    min(k, m) down to 1 and mu over the t-cores of m - j with parts
+    <= j, kept when j + len(mu) - t is negative or a beta number of mu.
+    Those streams are lazy and shared by (m, k) within one call.
     """
-    for lam in partitions(n):
-        if is_t_core(lam, t):
-            return lam
-    return None
+    if n < 0 or t < 2:
+        raise ValueError("need n >= 0 and t >= 2")
+    memo: dict[tuple[int, int], tuple[list, Iterator]] = {}
 
+    def cores(m: int, k: int) -> Iterator[tuple[Partition, frozenset[int]]]:
+        # (core, its beta set) pairs; the beta set of (j, mu) is that of
+        # mu plus j + len(mu).
+        if m == 0:
+            yield (), frozenset()
+            return
+        for j in range(min(k, m), 0, -1):
+            for mu, beta in shared(m - j, j):
+                top = j + len(mu)
+                if top < t or top - t in beta:
+                    yield (j,) + mu, beta | {top}
 
-def _is_prime(t: int) -> bool:
-    if t < 2:
-        return False
-    return all(t % d for d in range(2, int(t**0.5) + 1))
+    def shared(m: int, k: int) -> Iterator[tuple[Partition, frozenset[int]]]:
+        # Every caller of one (m, k) replays the items found so far and
+        # then advances the single underlying stream.
+        seen, source = memo.setdefault((m, k), ([], cores(m, k)))
+        i = 0
+        while True:
+            if i == len(seen):
+                item = next(source, None)
+                if item is None:
+                    return
+                seen.append(item)
+            yield seen[i]
+            i += 1
+
+    first = next(shared(n, n), None)
+    return None if first is None else first[0]
 
 
 def exists_t_core(n: int, t: int, brute_force: bool = False) -> bool:
     """Whether some t-core partition of n exists.
 
-    Fast paths: t = 2 iff n is triangular, t = 3 iff 3n + 1 is Loeschian,
-    prime t >= 5 always.  Composite t >= 4 has no criterion and is
-    enumerated; brute_force=True forces enumeration everywhere (the
-    oracle the fast paths are tested against).
+    Fast paths: t = 2 iff n is triangular, t = 3 iff 3n + 1 is
+    Loeschian, and every t >= 4 always (Granville-Ono 1996).
+    brute_force=True scans the partitions of n with is_t_core instead
+    (the oracle the fast paths are tested against).
     """
     if n < 0 or t < 2:
         raise ValueError("need n >= 0 and t >= 2")
-    if n == 0:
-        return True
-    if not brute_force:
-        if t == 2:
-            return is_triangular(n)
-        if t == 3:
-            return is_loeschian(3 * n + 1)
-        if t >= 5 and _is_prime(t):
-            return True
-    return find_t_core(n, t) is not None
+    if brute_force:
+        return any(is_t_core(lam, t) for lam in partitions(n))
+    if t == 2:
+        return is_triangular(n)
+    if t == 3:
+        return is_loeschian(3 * n + 1)
+    return True
 
 
 def unique_hook2_exists(n: int, brute_force: bool = False) -> bool:

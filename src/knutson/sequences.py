@@ -23,6 +23,9 @@ from .partitions import Partition, exists_t_core, find_t_core
 from .symchar import CycleType, class_has_zero, cycle_types, mn_value
 
 ZERO_COLUMNS_CAP = 30
+# Largest limit for a363675 and a363676: a363676 takes about 1 s at this
+# cap and about 20 s at ten times it.
+L_SEQUENCES_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,19 @@ class SequenceRecord:
             raise ValueError("term beyond the requested limit")
 
 
-def seq_L_Sn(limit: int) -> SequenceRecord:
-    """n <= limit with L(S_n) = n!: triangular n with 3n + 1 Loeschian."""
+def _check_L_limit(name: str, limit: int) -> None:
     if limit < 1:
         raise ValueError("limit must be positive")
+    if limit > L_SEQUENCES_CAP:
+        raise CapExceededError(f"{name}({limit}) exceeds cap {L_SEQUENCES_CAP}")
+
+
+def seq_L_Sn(limit: int) -> SequenceRecord:
+    """n <= limit with L(S_n) = n!: triangular n with 3n + 1 Loeschian.
+
+    Raises CapExceededError past L_SEQUENCES_CAP.
+    """
+    _check_L_limit("seq_L_Sn", limit)
     terms = tuple(
         n for n in range(1, limit + 1)
         if is_triangular(n) and is_loeschian(3 * n + 1)
@@ -51,9 +63,9 @@ def seq_L_Sn(limit: int) -> SequenceRecord:
 
 def seq_L_An(limit: int) -> SequenceRecord:
     """n <= limit with L(A_n) = n!/2: 3n + 1 Loeschian and n or n - 2
-    triangular.  Contains the L(S_n) = n! sequence (asserted)."""
-    if limit < 1:
-        raise ValueError("limit must be positive")
+    triangular.  Contains the L(S_n) = n! sequence (asserted).  Raises
+    CapExceededError past L_SEQUENCES_CAP."""
+    _check_L_limit("seq_L_An", limit)
     terms = tuple(
         n for n in range(1, limit + 1)
         if is_loeschian(3 * n + 1)

@@ -246,3 +246,68 @@ def min_multiplier_sympy(m: Matrix, v: list[int]) -> int | None:
     if params.rows:
         raise AssertionError("HNF columns are not independent")
     return lcm(*(int(entry.q) for entry in y))
+
+
+def partitions_recursive(n: int, max_part: int | None = None):
+    """The partitions of n with parts at most max_part, in reverse
+    lexicographic order: a largest part k, then the partitions of n - k
+    with parts at most k."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for k in range(max_part, 0, -1):
+        for rest in partitions_recursive(n - k, k):
+            yield (k,) + rest
+
+
+def count_t_cores_vectors(n: int, t: int) -> int:
+    """Number of t-cores of n, as the integer vectors (d_0, ..., d_{t-1})
+    with sum 0 and n = (t/2) * sum(d_j^2) + sum(j * d_j) (the abacus charge
+    vectors of the t-cores).  Exponential in t."""
+    # t*d^2/2 <= n bounds each coordinate.
+    bound = int((2 * n / t) ** 0.5) + 2
+    count = 0
+
+    def rec(j: int, remaining_sum: int, acc_twice: int) -> None:
+        # acc_twice accumulates 2*[(t/2) sum d^2 + sum j d] to stay integral.
+        nonlocal count
+        if j == t - 1:
+            d = -remaining_sum
+            if acc_twice + t * d * d + 2 * j * d == 2 * n:
+                count += 1
+            return
+        for d in range(-bound, bound + 1):
+            nxt = acc_twice + t * d * d + 2 * j * d
+            if nxt <= 2 * n + 2 * t * bound:
+                rec(j + 1, remaining_sum + d, nxt)
+
+    rec(0, 0, 0)
+    return count
+
+
+def count_t_cores_quotient(n: int, t: int) -> int:
+    """Number of t-cores of n from the core-quotient bijection: a partition
+    of m is a t-core of m - t*k with a t-tuple of partitions of total size
+    k, so p(m) = sum_k c(m - t*k) * a(k), solved for c; p by Euler's
+    pentagonal-number recurrence, a by t-fold convolution of p."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            p[m] += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                p[m] += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+    if t > n:
+        return p[n]
+    top = n // t
+    a = [1] + [0] * top
+    for _ in range(t):
+        a = [sum(a[i] * p[k - i] for i in range(k + 1)) for k in range(top + 1)]
+    c = []
+    for m in range(n + 1):
+        c.append(p[m] - sum(c[m - t * k] * a[k] for k in range(1, m // t + 1)))
+    return c[n]

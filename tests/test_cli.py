@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,11 @@ from knutson.cli import (
 )
 from knutson.sl2tables import sl2_table
 from knutson.errors import TableError
+from knutson.partitions import hook_multiset
+from knutson.sequences import L_SEQUENCES_CAP
 from knutson.symchar import an_table, sn_table
+
+from oracles import count_t_cores_quotient
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +152,48 @@ def test_cores_cap_exits_3(capsys, n, t):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_cores_every_t_at_the_cap(capsys):
+    # every t up to n + 1, and t far beyond n, where every partition is a core
+    for t in (*range(2, 62), 1000, 10**21):
+        assert main(["cores", "--n", "60", "--t", str(t), "--format", "json"]) == 0, t
+        captured = capsys.readouterr()
+        assert captured.err == "", t
+        obj = json.loads(captured.out)
+        assert obj["count"] == count_t_cores_quotient(60, t), t
+        assert obj["exists"] == (obj["count"] > 0), t
+        core = obj["first_core"]
+        if obj["count"]:
+            assert sum(core) == 60 and all(h % t for h in hook_multiset(tuple(core))), t
+        else:
+            assert core is None, t
+
+
+@pytest.mark.parametrize("t", [1, 0, -5])
+def test_cores_t_below_2_exits_2(capsys, t):
+    assert main(["cores", "--n", "10", "--t", str(t)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_cores_huge_prime_t_is_fast(capsys):
+    start = time.perf_counter()
+    assert main(["cores", "--n", "5", "--t", str(2**61 - 1), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["exists"] is True and obj["count"] == 7 and obj["first_core"] == [5]
+
+
+@pytest.mark.parametrize("seq_id", ["a363675", "a363676"])
+def test_seq_limit_cap_exits_3(capsys, seq_id):
+    assert main(["seq", seq_id, "--limit", str(L_SEQUENCES_CAP), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["limit"] == L_SEQUENCES_CAP
+    assert main(["seq", seq_id, "--limit", str(L_SEQUENCES_CAP + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "exceeds cap" in lines[0]
 
 
 def test_main_knutson_json(capsys):

@@ -20,6 +20,8 @@ from knutson.partitions import (
     unique_hook2_exists,
 )
 
+from oracles import count_t_cores_vectors, partitions_recursive
+
 # p(0), p(1), ..., p(20)
 PARTITION_COUNTS = (
     1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231,
@@ -52,6 +54,13 @@ def test_partitions_max_part():
             got = list(partitions(n, max_part=cap))
             want = [lam for lam in partitions(n) if not lam or lam[0] <= cap]
             assert sorted(got) == sorted(want)
+
+
+def test_partitions_match_recursive_oracle():
+    # exact order, for every max_part including the empty and capped ones
+    for n in range(0, 26):
+        for cap in (None, *range(-1, n + 3)):
+            assert list(partitions(n, cap)) == list(partitions_recursive(n, cap)), (n, cap)
 
 
 @given(st.integers(min_value=0, max_value=14))
@@ -100,7 +109,8 @@ def test_count_t_cores_both_paths():
         for t in (2, 3, 4, 5, 7):
             brute = _count_cores_brute(n, t)
             assert count_t_cores(n, t) == brute
-            assert count_t_cores(n, t, enumerate_all=False) == brute
+            assert count_t_cores(n, t, enumerate_all=True) == brute
+            assert count_t_cores_vectors(n, t) == brute
 
 
 def test_find_t_core_is_a_core():
@@ -114,9 +124,25 @@ def test_find_t_core_is_a_core():
                 assert is_t_core(lam, t)
 
 
+def test_find_t_core_is_first_in_enumeration_order():
+    for n in range(0, 31):
+        for t in range(2, n + 3):
+            first = next((lam for lam in partitions(n) if is_t_core(lam, t)), None)
+            assert find_t_core(n, t) == first, (n, t)
+
+
+def test_find_t_core_witnesses_at_60():
+    assert find_t_core(60, 2) is None
+    assert find_t_core(60, 3) == (14, 12, 10, 8, 6, 4, 2, 2, 1, 1)
+    assert find_t_core(60, 4) == (17, 14, 11, 8, 5, 2, 1, 1, 1)
+    assert find_t_core(60, 5) == (20, 16, 12, 8, 4)
+    assert find_t_core(60, 61) == (60,)
+
+
 def test_exists_t_core_fast_paths_vs_brute():
+    # t >= 4 always has a core (Granville-Ono), composite t included
     for n in range(0, 41):
-        for t in (2, 3, 5, 7, 11, 13):
+        for t in range(2, 14):
             assert exists_t_core(n, t) == exists_t_core(n, t, brute_force=True), (n, t)
 
 
