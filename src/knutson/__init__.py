@@ -35,15 +35,8 @@ from .partitions import (
     find_t_core,
     is_t_core,
     partitions,
-    unique_hook2_exists,
 )
-from .sequences import (
-    L_of_table,
-    SequenceRecord,
-    seq_L_An,
-    seq_L_Sn,
-    seq_zero_columns_sn,
-)
+from .sequences import SequenceRecord, seq_L_An, seq_L_Sn, seq_zero_columns_sn
 from .sl2tables import (
     Sl2Param,
     lcm_degrees_sl2_expected,
@@ -62,7 +55,6 @@ __all__ = [
     "ConjClass",
     "CyclotomicTau",
     "Irrep",
-    "L_of_table",
     "MultiQuadratic",
     "SequenceRecord",
     "Sl2Param",
@@ -102,7 +94,6 @@ __all__ = [
     "solve_integer",
     "tensor_decompose",
     "trivial_index",
-    "unique_hook2_exists",
     "verify_rho_pm_obstruction",
     "zero_column_criterion",
     "zero_in_every_nontrivial_column",

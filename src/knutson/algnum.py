@@ -34,8 +34,6 @@ from math import gcd, lcm
 
 from .numtheory import factorize
 
-Rational = Fraction
-
 _RATIONAL_TYPES = (int, Fraction)
 
 
@@ -44,22 +42,12 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """n = g*g*d with d squarefree (d keeps the sign of n); returns (g, d)."""
     if n == 0:
         raise ValueError("radicand must be nonzero")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    g, d = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            g *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    d *= n
-    return g, sign * d
+    g, d = 1, 1 if n > 0 else -1
+    for p, e in factorize(abs(n)):
+        g *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    return g, d
 
 
 def _mul_radicals(d1: int, d2: int) -> tuple[int, int]:
@@ -497,14 +485,6 @@ def approx_value(x) -> complex:
     if isinstance(x, _RATIONAL_TYPES):
         return complex(x)
     return x.approx()
-
-
-def values_equal(x, y) -> bool:
-    if isinstance(x, _RATIONAL_TYPES) and isinstance(y, _RATIONAL_TYPES):
-        return x == y
-    if isinstance(x, _RATIONAL_TYPES):
-        x, y = y, x
-    return x == y
 
 
 # ---------------------------------------------------------------------------

@@ -40,16 +40,19 @@ from .knutsonlat import (
     verify_rho_pm_obstruction,
 )
 from .numtheory import is_loeschian, quadform_xxyy, sigma3
-from .partitions import count_t_cores, exists_t_core, find_t_core
+from .partitions import (
+    CORES_MAX_N,
+    count_t_cores,
+    exists_t_core,
+    find_t_core,
+    is_t_core,
+    partitions,
+)
 from .sequences import seq_L_An, seq_L_Sn, seq_zero_columns_sn
 from .sl2tables import Sl2Param, paper_rho_inverses, psl2_table, sl2_table
 from .symchar import DEFAULT_CAP, an_table, sn_table
 
 CACHE_VERSION = 1
-# The largest n for `cores`.  Counting and existence are cheap at any n,
-# but find_t_core's search grows fast with n: at n = 60 it takes about
-# 0.1 s for every t, at n = 300 and t = 13 it runs for minutes.
-CORES_MAX_N = 60
 
 
 class UsageError(Exception):
@@ -330,7 +333,7 @@ def cmd_knutson(args) -> int:
     )
     exit_code = 0
     if args.kind == "sl2" and args.param % 2 and args.param >= 5:
-        rho_report = paper_rho_inverses(args.param, search_corrections=True)
+        rho_report = paper_rho_inverses(args.param)
         rows = {}
         for name, row in rho_report.selected_rows().items():
             rows[name] = {
@@ -419,7 +422,7 @@ def _suite_sequences() -> list[dict]:
 
 
 def _suite_sl2_rho(q: int) -> list[dict]:
-    report = paper_rho_inverses(q, search_corrections=True)
+    report = paper_rho_inverses(q)
     checks = [{
         "name": f"column assignment q={q}",
         "pass": True,
@@ -461,7 +464,8 @@ def _suite_cores() -> list[dict]:
         {
             "name": "exists_t_core fast paths == brute force, n <= 40",
             "pass": all(
-                exists_t_core(n, t) == exists_t_core(n, t, brute_force=True)
+                exists_t_core(n, t)
+                == any(is_t_core(lam, t) for lam in partitions(n))
                 for n in range(41)
                 for t in (2, 3, 5, 7, 11, 13)
             ),

@@ -179,19 +179,15 @@ def zero_column_criterion(table: CharacterTable) -> int | None:
     return knutson_index_group(table)
 
 
-def min_rho_search(
-    table: CharacterTable, degree_bound: int | None = None
-) -> tuple[VirtualCharacter, Fraction] | None:
+def min_rho_search(table: CharacterTable) -> tuple[VirtualCharacter, Fraction] | None:
     """Minimal-degree nonnegative rho making every irreducible invertible.
 
     The degree runs over multiples of L(G) (each chi(1) must divide
-    deg rho) up to the bound; candidates are enumerated lexicographically
+    deg rho) up to |G|; candidates are enumerated lexicographically
     on multiplicities and pruned by the zero constraint: rho must vanish
     on any class where some irreducible vanishes.  Feasible only for
     very small groups.
     """
-    if degree_bound is None:
-        degree_bound = table.order
     step = table.degree_lcm()
     degrees = table.degrees
     nirr = len(degrees)
@@ -211,7 +207,7 @@ def min_rho_search(
         for c in range(remaining // degrees[i] + 1):
             yield from candidates(i + 1, remaining - c * degrees[i], acc + [c])
 
-    for total in range(step, degree_bound + 1, step):
+    for total in range(step, table.order + 1, step):
         for mults in candidates(0, total, []):
             rho = VirtualCharacter(table, mults)
             if not all(

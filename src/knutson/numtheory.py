@@ -2,7 +2,9 @@
 
 Triangular numbers decide 2-core existence, Loeschian numbers (values of
 X^2 + XY + Y^2) decide 3-core existence through the shift n -> 3n + 1, and
-the divisor sum sigma3 counts 3-cores outright.  Everything here is pure
+the divisor sum sigma3 counts 3-cores outright.  quadform_xxyy searches
+the shifted form X^2 + X + XY + Y + Y^2 directly, so the shift can be
+checked against is_loeschian rather than assumed.  Everything here is pure
 integer arithmetic; inputs stay well below 10**7 so trial division is fine.
 """
 
@@ -65,23 +67,6 @@ def is_loeschian(n: int) -> bool:
     return all(e % 2 == 0 for p, e in factorize(n) if p % 3 == 2)
 
 
-def loeschian_witness(n: int) -> tuple[int, int] | None:
-    """Some (X, Y) with X^2 + XY + Y^2 = n, found by direct search.
-
-    For nonnegative n a representative with 0 <= Y <= X always exists
-    when any representation does, so the search space is bounded by
-    isqrt(n) in each variable.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    bound = isqrt(n) + 1
-    for x in range(bound + 1):
-        for y in range(x + 1):
-            if x * x + x * y + y * y == n:
-                return (x, y)
-    return None
-
-
 def legendre3(d: int) -> int:
     """Legendre symbol (d/3): +1, -1 or 0."""
     r = d % 3
@@ -97,21 +82,26 @@ def sigma3(m: int) -> int:
     return sum(legendre3(d) for d in divisors(m))
 
 
-def quadform_xxyy(n: int, brute_force: bool = False) -> bool:
+def quadform_xxyy(n: int) -> bool:
     """Whether n = X^2 + X + XY + Y + Y^2 for some integers X, Y.
 
-    The primary path reduces to is_loeschian(3n + 1) via the change of
-    variables A = X - Y, B = X + 2Y + 1.  With brute_force=True the form
-    is searched directly instead (the independent oracle; X, Y may be
-    negative, so the search runs over a symmetric box).
+    A direct search of the form, independent of is_loeschian (the
+    theorem it is checked against says it equals is_loeschian(3n + 1)).
+    For fixed X the form is a quadratic in Y with discriminant
+    4n + 1 - 2X - 3X^2, so each X in the box 3X^2 + 2X <= 4n + 1 costs
+    one integer square root: O(sqrt(n)) per n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not brute_force:
-        return is_loeschian(3 * n + 1)
-    bound = 2 + isqrt(2 * n)
+    bound = isqrt((4 * n + 1) // 3) + 1
     for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            if x * x + x + x * y + y + y * y == n:
-                return True
+        disc = 4 * n + 1 - 2 * x - 3 * x * x
+        if disc < 0:
+            continue
+        s = isqrt(disc)
+        if s * s != disc:
+            continue
+        y = (s - x - 1) // 2
+        if x * x + x + x * y + y + y * y == n:
+            return True
     return False

@@ -100,8 +100,6 @@ def vanishing_certificate(
             shape = (
                 ((sigma[0] + s * t,) + sigma[1:]) if sigma else (s * t,)
             )
-            if s == 0 and not sigma:
-                continue  # n = 0 cannot happen here, but guard anyway
             if mn_value(shape, ct.parts) != 0:
                 raise AssertionError(
                     f"vanishing certificate {shape} fails on {ct.parts}"
@@ -128,16 +126,17 @@ def zero_in_every_column_sn(n: int) -> bool:
     )
 
 
-def seq_zero_columns_sn(limit: int, cap: int = ZERO_COLUMNS_CAP) -> SequenceRecord:
-    """n <= limit such that S_n has a zero in every non-trivial column."""
+def seq_zero_columns_sn(limit: int) -> SequenceRecord:
+    """n <= limit such that S_n has a zero in every non-trivial column.
+
+    Raises CapExceededError past ZERO_COLUMNS_CAP.
+    """
     if limit < 1:
         raise ValueError("limit must be positive")
-    if limit > cap:
-        raise CapExceededError(f"seq_zero_columns_sn({limit}) exceeds cap {cap}")
+    if limit > ZERO_COLUMNS_CAP:
+        raise CapExceededError(
+            f"seq_zero_columns_sn({limit}) exceeds cap {ZERO_COLUMNS_CAP}"
+        )
     terms = tuple(n for n in range(1, limit + 1) if zero_in_every_column_sn(n))
     return SequenceRecord("a363701", limit, terms)
 
-
-def L_of_table(table) -> int:
-    """lcm of the degrees of the table's irreducible characters."""
-    return table.degree_lcm()

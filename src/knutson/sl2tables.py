@@ -20,9 +20,8 @@ table of explicit inverses has its two columns both headed "q = 1 mod 4"
 by exact verification rather than by trusting either header.  One row
 ("chi_i with i odd", second column) carries the coefficient (q-1)/3,
 which is not even an integer for most q; that row is reported with its
-exact discrepancy and, behind an explicit flag, a small coefficient
-search may look for a verifying replacement.  Nothing is corrected
-silently.
+exact discrepancy, and a small coefficient search looks for a verifying
+replacement, reported beside it.  Nothing is corrected silently.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .algnum import CyclotomicTau, value_is_zero, values_equal
+from .algnum import CyclotomicTau, value_is_zero
 from .chartable import CharacterTable, ConjClass, Irrep
 from .charring import VirtualCharacter, evaluate, fusion_matrix
 from .errors import CapExceededError
@@ -84,7 +83,7 @@ class Sl2Param:
 
     @property
     def default_cap(self) -> int:
-        """Largest q whose table is built when no cap is given."""
+        """Largest q whose table is built."""
         return EVEN_CAP if self.is_even else ODD_CAP
 
 
@@ -220,11 +219,9 @@ def _sl2_cached(q: int) -> CharacterTable:
     return table
 
 
-def sl2_table(q: int, cap: int | None = None) -> CharacterTable:
+def sl2_table(q: int) -> CharacterTable:
     """Exact character table of SL2(q); orthogonality-validated."""
-    par = Sl2Param.from_q(q)
-    if cap is None:
-        cap = par.default_cap
+    cap = Sl2Param.from_q(q).default_cap
     if q > cap:
         raise CapExceededError(f"sl2_table({q}) exceeds cap {cap}")
     return _sl2_cached(q)
@@ -234,7 +231,7 @@ def center_fixed_indices(table: CharacterTable) -> list[int]:
     """Irreducibles of an odd-q SL2 table with chi(-id) = chi(id)."""
     return [
         i for i, ir in enumerate(table.irreps)
-        if values_equal(ir.values[1], ir.degree)
+        if ir.values[1] == ir.degree
     ]
 
 
@@ -286,7 +283,7 @@ def _psl2_cached(q: int) -> CharacterTable:
         for _label, _size, old in merged:
             v = ir.values[old[0]]
             for k in old[1:]:
-                if not values_equal(ir.values[k], v):
+                if ir.values[k] != v:
                     raise AssertionError(
                         f"{ir.label} not constant on fused class {_label}"
                     )
@@ -297,11 +294,9 @@ def _psl2_cached(q: int) -> CharacterTable:
     return table
 
 
-def psl2_table(q: int, cap: int | None = None) -> CharacterTable:
+def psl2_table(q: int) -> CharacterTable:
     """Exact character table of PSL2(q); equals SL2(q) for even q."""
-    par = Sl2Param.from_q(q)
-    if cap is None:
-        cap = par.default_cap
+    cap = Sl2Param.from_q(q).default_cap
     if q > cap:
         raise CapExceededError(f"psl2_table({q}) exceeds cap {cap}")
     return _psl2_cached(q)
@@ -583,14 +578,14 @@ def _search_chi_odd_correction(
     return None
 
 
-def paper_rho_inverses(q: int, search_corrections: bool = False) -> RhoInverseReport:
+def paper_rho_inverses(q: int) -> RhoInverseReport:
     """Verify the printed rho-inverse rows for odd q >= 5.
 
     Both printed columns are checked against every row; the column under
     which more rows verify is selected (resolving the duplicated header
     by computation).  Rows failing under the selected column keep their
-    exact discrepancy vectors; with search_corrections=True the known
-    suspect row additionally gets a bounded coefficient search.
+    exact discrepancy vectors, and the known suspect row additionally
+    gets a bounded coefficient search for a verifying replacement.
     """
     par = Sl2Param.from_q(q)
     if par.is_even or q < 5:
@@ -608,9 +603,7 @@ def paper_rho_inverses(q: int, search_corrections: bool = False) -> RhoInverseRe
         for col in rows
     }
     column = max(score, key=lambda col: score[col])
-    report = RhoInverseReport(q, column, rows)
-    if search_corrections:
-        for row in rows[column].values():
-            if row.targets and not row.verified and row.name == "chi_odd":
-                row.correction = _search_chi_odd_correction(table, rho, q)
-    return report
+    for row in rows[column].values():
+        if row.targets and not row.verified and row.name == "chi_odd":
+            row.correction = _search_chi_odd_correction(table, rho, q)
+    return RhoInverseReport(q, column, rows)

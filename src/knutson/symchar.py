@@ -17,20 +17,19 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 
-from .algnum import MultiQuadratic, value_is_zero
+from .algnum import MultiQuadratic
 from .chartable import CharacterTable, ConjClass, Irrep
-from .chartable import zero_in_every_nontrivial_column  # noqa: F401  (re-export)
 from .errors import CapExceededError
 from .partitions import (
     Partition,
     conjugate,
     degree_hook,
-    is_self_conjugate,
     partitions,
     principal_hooks,
 )
 
 DEFAULT_CAP = 22
+NONVANISHING_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def mn_value(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def sn_table(n: int, cap: int = DEFAULT_CAP) -> CharacterTable:
+def sn_table(n: int) -> CharacterTable:
     """Exact integer character table of S_n.
 
     Classes and characters both run over partitions of n in reverse
@@ -128,8 +127,8 @@ def sn_table(n: int, cap: int = DEFAULT_CAP) -> CharacterTable:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise CapExceededError(f"sn_table({n}) exceeds cap {cap}")
+    if n > DEFAULT_CAP:
+        raise CapExceededError(f"sn_table({n}) exceeds cap {DEFAULT_CAP}")
     classes = tuple(
         ConjClass(ct.label(), ct.class_size(), ct) for ct in cycle_types(n)
     )
@@ -169,7 +168,7 @@ def an_classes(n: int) -> list[tuple[CycleType, int]]:
     return out
 
 
-def an_table(n: int, cap: int = DEFAULT_CAP) -> CharacterTable:
+def an_table(n: int) -> CharacterTable:
     """Exact character table of A_n (n >= 3), values in MultiQuadratic or int.
 
     Which half of a split pair of classes receives the +sqrt value is a
@@ -178,8 +177,8 @@ def an_table(n: int, cap: int = DEFAULT_CAP) -> CharacterTable:
     """
     if n < 3:
         raise ValueError("an_table requires n >= 3")
-    if n > cap:
-        raise CapExceededError(f"an_table({n}) exceeds cap {cap}")
+    if n > DEFAULT_CAP:
+        raise CapExceededError(f"an_table({n}) exceeds cap {DEFAULT_CAP}")
     cls_list = an_classes(n)
     classes = []
     for ct, half in cls_list:
@@ -244,7 +243,7 @@ def class_has_zero(n: int, mu: Partition) -> bool:
     return any(mn_value(lam, mu) == 0 for lam in _shapes_by_degree(n))
 
 
-def nonvanishing_classes_sn(n: int, cap: int = 30) -> list[CycleType]:
+def nonvanishing_classes_sn(n: int) -> list[CycleType]:
     """Classes of S_n on which no irreducible character vanishes.
 
     For n >= 3 the result is checked against the structural constraint
@@ -254,8 +253,10 @@ def nonvanishing_classes_sn(n: int, cap: int = 30) -> list[CycleType]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise CapExceededError(f"nonvanishing_classes_sn({n}) exceeds cap {cap}")
+    if n > NONVANISHING_CAP:
+        raise CapExceededError(
+            f"nonvanishing_classes_sn({n}) exceeds cap {NONVANISHING_CAP}"
+        )
     out = []
     for ct in cycle_types(n):
         if not class_has_zero(n, ct.parts):

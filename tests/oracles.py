@@ -1,14 +1,14 @@
 """Brute-force oracles that the package's fast paths are tested against."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from knutson.chartable import CharacterTable
+from knutson.partitions import hook_multiset, partitions
 
 Matrix = list[list[int]]
 
@@ -49,18 +49,6 @@ def fusion_matrix_exact(table: CharacterTable, a: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # integer lattices
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0])
-    return [
-        [sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for ra in a
-    ]
-
-
 def _det_bareiss(m: Matrix) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
     a = [row[:] for row in m]
@@ -79,118 +67,6 @@ def _det_bareiss(m: Matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-@dataclass
-class SNFResult:
-    """U * M * V = D with U, V unimodular and d1 | d2 | ... on D."""
-
-    U: Matrix
-    D: Matrix
-    V: Matrix
-    rank: int
-
-    @property
-    def diagonal(self) -> list[int]:
-        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0])))]
-
-
-def smith_normal_form(m: Matrix, verify: bool = True) -> SNFResult:
-    """Smith normal form with minimal-absolute-value pivoting."""
-    rows, cols = len(m), len(m[0])
-    d = [row[:] for row in m]
-    u, v = _identity(rows), _identity(cols)
-    t = 0
-    while t < min(rows, cols):
-        pivot, best = None, None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                e = abs(d[i][j])
-                if e and (best is None or e < best):
-                    best, pivot = e, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        d[t], d[pi] = d[pi], d[t]
-        u[t], u[pi] = u[pi], u[t]
-        for row in d:
-            row[t], row[pj] = row[pj], row[t]
-        for row in v:
-            row[t], row[pj] = row[pj], row[t]
-
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    for j in range(cols):
-                        d[i][j] -= q * d[t][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[t][j]
-                    if d[i][t]:  # remainder is a smaller pivot
-                        d[t], d[i] = d[i], d[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    for i in range(rows):
-                        d[i][j] -= q * d[i][t]
-                    for i in range(cols):
-                        v[i][j] -= q * v[i][t]
-                    if d[t][j]:
-                        for row in d:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-        # force divisibility of the remaining block by the pivot
-        piv = d[t][t]
-        offender = next(
-            (
-                (i, j)
-                for i in range(t + 1, rows)
-                for j in range(t + 1, cols)
-                if d[i][j] % piv
-            ),
-            None,
-        )
-        if offender is not None:
-            i, _j = offender
-            for j in range(cols):
-                d[t][j] += d[i][j]
-            for j in range(rows):
-                u[t][j] += u[i][j]
-            continue  # re-run elimination at the same t
-        if piv < 0:
-            for j in range(cols):
-                d[t][j] = -d[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-        t += 1
-    result = SNFResult(u, d, v, t)
-    if verify:
-        _verify_snf(m, result)
-    return result
-
-
-def _verify_snf(m: Matrix, res: SNFResult) -> None:
-    got = _mat_mul(_mat_mul(res.U, m), res.V)
-    if got != res.D:
-        raise AssertionError("SNF identity U*M*V = D fails")
-    diag = res.diagonal
-    for i in range(min(len(res.D), len(res.D[0]))):
-        for j in range(len(res.D[0])):
-            if i != j and res.D[i][j]:
-                raise AssertionError("SNF result is not diagonal")
-    for a, b in zip(diag, diag[1:]):
-        if a == 0 and b != 0:
-            raise AssertionError("SNF zero before nonzero on the diagonal")
-        if a and b % a:
-            raise AssertionError("SNF divisibility chain fails")
-    if abs(_det_bareiss(res.U)) != 1 or abs(_det_bareiss(res.V)) != 1:
-        raise AssertionError("SNF transform is not unimodular")
 
 
 def _rank(m: Matrix) -> int:
@@ -225,7 +101,7 @@ def snf_solvable(m: Matrix, b: list[int]) -> bool:
     the same gcd of r x r minors, i.e. the same invariant factors.
 
     Needs no elimination over Z, whose entries can grow without bound
-    (smith_normal_form above does on some 6 x 6 inputs)."""
+    (a transform-tracking Smith form does on some 6 x 6 inputs)."""
     aug = [row + [x] for row, x in zip(m, b)]
     r = _rank(m)
     return _rank(aug) == r and _minors_gcd(aug, r) == _minors_gcd(m, r)
@@ -311,3 +187,69 @@ def count_t_cores_quotient(n: int, t: int) -> int:
     for m in range(n + 1):
         c.append(p[m] - sum(c[m - t * k] * a[k] for k in range(1, m // t + 1)))
     return c[n]
+
+
+def cores_present(n: int, ts: tuple[int, ...]) -> set[int]:
+    """The t in ts for which n has a t-core, from one pass over
+    partitions(n).
+
+    A partition is a t-core exactly when no bead of its beta set (the
+    first-column hook lengths) can move t places down onto an empty
+    position.  The beads are visited from the smallest up, so the
+    positions below each bead are already known and the test for one t
+    stops at the first bead that can move.  The pass stops once every t
+    is decided."""
+    pending = list(ts)
+    found: set[int] = set()
+    for lam in partitions(n):
+        top = len(lam) - 1
+        hit = False
+        for t in pending:
+            beads = 0
+            for i in range(top, -1, -1):
+                b = lam[i] + top - i
+                if b >= t and not beads >> (b - t) & 1:
+                    break
+                beads |= 1 << b
+            else:
+                found.add(t)
+                hit = True
+        if hit:
+            pending = [t for t in pending if t not in found]
+            if not pending:
+                break
+    return found
+
+
+def loeschian_witness(n: int) -> tuple[int, int] | None:
+    """Some (X, Y) with X^2 + XY + Y^2 = n, found by direct search.
+
+    For nonnegative n a representative with 0 <= Y <= X always exists
+    when any representation does, so the search space is bounded by
+    isqrt(n) in each variable."""
+    bound = isqrt(n) + 1
+    for x in range(bound + 1):
+        for y in range(x + 1):
+            if x * x + x * y + y * y == n:
+                return (x, y)
+    return None
+
+
+def quadform_box(n: int) -> bool:
+    """Whether n = X^2 + X + XY + Y + Y^2, by scanning a symmetric box of
+    (X, Y) (both may be negative)."""
+    bound = 2 + isqrt(2 * n)
+    return any(
+        x * x + x + x * y + y + y * y == n
+        for x in range(-bound, bound + 1)
+        for y in range(-bound, bound + 1)
+    )
+
+
+def unique_hook2_scan(n: int) -> bool:
+    """Whether some partition of n has a single even hook, equal to 2, by
+    scanning the hook multisets of every partition of n."""
+    return any(
+        [h for h in hook_multiset(lam) if h % 2 == 0] == [2]
+        for lam in partitions(n)
+    )

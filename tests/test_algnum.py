@@ -19,7 +19,6 @@ from knutson.algnum import (
     residue_value,
     squarefree_decompose,
     value_is_zero,
-    values_equal,
 )
 
 TOL = 1e-9
@@ -144,9 +143,9 @@ def test_generic_helpers_dispatch():
     assert rational_value(MultiQuadratic.from_rational(7)) == 7
     with pytest.raises(ValueError):
         rational_value(MultiQuadratic.sqrt(2))
-    assert values_equal(MultiQuadratic.from_rational(4), 4)
-    assert values_equal(4, MultiQuadratic.from_rational(4))
-    assert not values_equal(MultiQuadratic.sqrt(2), 1)
+    assert MultiQuadratic.from_rational(4) == 4
+    assert 4 == MultiQuadratic.from_rational(4)
+    assert MultiQuadratic.sqrt(2) != 1
 
 
 def test_rational_values_hash_like_rationals():

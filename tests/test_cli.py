@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from knutson import cli
-from knutson.algnum import CyclotomicTau, MultiQuadratic, values_equal
+from knutson import cli, numtheory
+from knutson.algnum import CyclotomicTau, MultiQuadratic
 from knutson.chartable import CharacterTable, Irrep
 from knutson.cli import (
     cache_load,
@@ -51,7 +51,7 @@ def test_value_round_trip():
     ]
     for v in samples:
         back = value_from_json(json.loads(json.dumps(value_to_json(v))))
-        assert values_equal(v, back), v
+        assert v == back, v
 
 
 def test_table_round_trip_preserves_orthogonality():
@@ -226,6 +226,28 @@ def test_main_verify_cores(capsys):
     assert main(["verify", "cores"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["pass"] is True
+
+
+def test_wrong_loeschian_predicate_is_caught(capsys, monkeypatch):
+    # The wrong predicate calls every m > 200 Loeschian (202 = 2 * 101 is
+    # not).  It agrees below that, where the t-core checks reach (3n + 1
+    # for n <= 60), so only the quadratic-form checks can notice it.
+    import test_acceptance
+
+    right = numtheory.is_loeschian
+
+    def wrong(m):
+        return m > 200 or right(m)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "is_loeschian", None) is right:
+            monkeypatch.setattr(module, "is_loeschian", wrong)
+    assert test_acceptance.is_loeschian is wrong
+    assert main(["verify", "cores"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["pass"] for c in checks] == [True, True, False]
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_13_quadratic_form_theorem()
 
 
 def test_exit_code_cap_exceeded(capsys):

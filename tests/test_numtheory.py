@@ -4,6 +4,7 @@ from math import isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import loeschian_witness, quadform_box
 
 from knutson.numtheory import (
     divisors,
@@ -11,7 +12,6 @@ from knutson.numtheory import (
     is_loeschian,
     is_triangular,
     legendre3,
-    loeschian_witness,
     quadform_xxyy,
     sigma3,
     triangular_root,
@@ -77,4 +77,4 @@ def test_sigma3_oracle(m):
 
 def test_quadform_xxyy_matches_brute_force():
     for n in range(0, 400):
-        assert quadform_xxyy(n) == quadform_xxyy(n, brute_force=True), n
+        assert quadform_xxyy(n) == quadform_box(n), n

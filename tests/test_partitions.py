@@ -5,7 +5,10 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from knutson.errors import CapExceededError
+from knutson.numtheory import is_triangular
 from knutson.partitions import (
+    CORES_MAX_N,
     conjugate,
     count_t_cores,
     degree_hook,
@@ -17,10 +20,9 @@ from knutson.partitions import (
     is_t_core,
     partitions,
     principal_hooks,
-    unique_hook2_exists,
 )
 
-from oracles import count_t_cores_vectors, partitions_recursive
+from oracles import count_t_cores_vectors, partitions_recursive, unique_hook2_scan
 
 # p(0), p(1), ..., p(20)
 PARTITION_COUNTS = (
@@ -109,7 +111,6 @@ def test_count_t_cores_both_paths():
         for t in (2, 3, 4, 5, 7):
             brute = _count_cores_brute(n, t)
             assert count_t_cores(n, t) == brute
-            assert count_t_cores(n, t, enumerate_all=True) == brute
             assert count_t_cores_vectors(n, t) == brute
 
 
@@ -139,13 +140,23 @@ def test_find_t_core_witnesses_at_60():
     assert find_t_core(60, 61) == (60,)
 
 
+def test_find_t_core_cap():
+    # (300, 13) ran for minutes before the cap
+    for n, t in ((CORES_MAX_N + 1, 3), (300, 13)):
+        with pytest.raises(CapExceededError):
+            find_t_core(n, t)
+
+
 def test_exists_t_core_fast_paths_vs_brute():
     # t >= 4 always has a core (Granville-Ono), composite t included
     for n in range(0, 41):
         for t in range(2, 14):
-            assert exists_t_core(n, t) == exists_t_core(n, t, brute_force=True), (n, t)
+            brute = any(is_t_core(lam, t) for lam in partitions(n))
+            assert exists_t_core(n, t) == brute, (n, t)
 
 
 def test_unique_hook2_oracle():
+    # the shapes are the staircase with a final column of 1s appended, and
+    # its transpose, so they exist exactly when n - 2 is triangular
     for n in range(1, 40):
-        assert unique_hook2_exists(n) == unique_hook2_exists(n, brute_force=True), n
+        assert (n >= 2 and is_triangular(n - 2)) == unique_hook2_scan(n), n

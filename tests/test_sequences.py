@@ -4,7 +4,7 @@ import pytest
 
 from knutson.chartable import zero_in_every_nontrivial_column
 from knutson.errors import CapExceededError
-from knutson.partitions import exists_t_core, is_t_core, partitions
+from knutson.partitions import is_t_core, partitions
 from knutson.sequences import (
     SequenceRecord,
     class_zero_certified,
@@ -13,7 +13,6 @@ from knutson.sequences import (
     seq_zero_columns_sn,
     vanishing_certificate,
     zero_in_every_column_sn,
-    L_of_table,
 )
 from knutson.symchar import cycle_types, mn_value, sn_table
 
@@ -32,8 +31,8 @@ def test_seq_L_Sn_against_core_existence():
     # brute-force enumeration of partitions
     terms = set(seq_L_Sn(36).terms)
     for n in range(1, 37):
-        both = exists_t_core(n, 2, brute_force=True) and exists_t_core(
-            n, 3, brute_force=True
+        both = all(
+            any(is_t_core(lam, t) for lam in partitions(n)) for t in (2, 3)
         )
         assert (n in terms) == both
     assert sorted(terms) == [1, 6, 10, 21, 36]
@@ -88,8 +87,3 @@ def test_limits_validated():
     for fn in (seq_L_Sn, seq_L_An, seq_zero_columns_sn):
         with pytest.raises(ValueError):
             fn(0)
-
-
-def test_L_of_table():
-    assert L_of_table(sn_table(3)) == 2
-    assert L_of_table(sn_table(4)) == 6

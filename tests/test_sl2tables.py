@@ -121,7 +121,7 @@ def test_rho_theorem_character_values(q):
 
 @pytest.mark.parametrize("q", (5, 7, 11, 13))
 def test_paper_rho_inverse_rows(q):
-    report = paper_rho_inverses(q, search_corrections=True)
+    report = paper_rho_inverses(q)
     # the verifying printed column is decided by the residue of q mod 4
     assert report.column == ("left" if q % 4 == 1 else "right")
     for name, row in report.selected_rows().items():
@@ -142,7 +142,7 @@ def test_paper_rho_inverse_rows(q):
 @pytest.mark.parametrize("q", (5, 7))
 def test_rho_inverse_mapping_covers_all_irreps(q):
     table = sl2_table(q)
-    mapping = paper_rho_inverses(q, search_corrections=True).mapping()
+    mapping = paper_rho_inverses(q).mapping()
     assert set(mapping) == {ir.label for ir in table.irreps}
 
 

@@ -100,6 +100,8 @@ def test_sn_table_small_known():
     assert rows["(3,)"] == (1, 1, 1)
     assert rows["(2, 1)"] == (-1, 0, 2)
     assert rows["(1, 1, 1)"] == (1, -1, 1)
+    assert t3.degree_lcm() == 2
+    assert sn_table(4).degree_lcm() == 6
 
 
 def test_sn_table_structure():
