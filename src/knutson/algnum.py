@@ -295,10 +295,6 @@ class CyclotomicTau:
     def root_of_unity(cls, m: int, k: int, tau_sq: int = 0) -> "CyclotomicTau":
         return cls(m, tau_sq, {k % m: Fraction(1)})
 
-    @classmethod
-    def tau_element(cls, m: int, tau_sq: int, scale=1) -> "CyclotomicTau":
-        return cls(m, tau_sq, None, {0: Fraction(scale)})
-
     def _coerce(self, other):
         if isinstance(other, CyclotomicTau):
             if other.m != self.m or other.tau_sq != self.tau_sq:

@@ -47,9 +47,6 @@ class VirtualCharacter:
             self.table, tuple(a + b for a, b in zip(self.mults, other.mults))
         )
 
-    def scaled(self, k: int) -> "VirtualCharacter":
-        return VirtualCharacter(self.table, tuple(k * m for m in self.mults))
-
 
 def evaluate(x: VirtualCharacter, cls: int):
     """Exact value of the virtual character on class index cls."""

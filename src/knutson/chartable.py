@@ -2,6 +2,8 @@
 
 A table is immutable once built.  Values are ints, Fractions,
 MultiQuadratic or CyclotomicTau; all checks run in exact arithmetic.
+check_orthogonality checks the row relations only: on a square table
+they imply the column relations.
 """
 
 from __future__ import annotations
@@ -81,35 +83,43 @@ class CharacterTable:
                 )
 
     def inner_product_rows(self, xvals: Sequence, yvals: Sequence) -> Fraction:
-        """(1/|G|) sum over classes of size * x * conj(y), exact."""
+        """(1/|G|) sum over classes of size * x * conj(y), exact.
+
+        Raises TableError when the sum is irrational, which no two
+        virtual characters of a correct table give.
+        """
         total = 0
         for cls, x, y in zip(self.classes, xvals, yvals):
             total = total + cls.size * (x * conj_value(y))
-        return rational_value(total) / self.order
+        try:
+            return rational_value(total) / self.order
+        except ValueError:
+            raise TableError(
+                f"{self.label}: irrational inner product ({total})/{self.order}"
+            ) from None
 
     def check_orthogonality(self) -> None:
-        """Exact row and column orthogonality; raises TableError on failure."""
+        """Exact row orthogonality; raises TableError on failure.
+
+        The column relations follow and are not checked separately
+        (second orthogonality from the first, Isaacs, Character Theory
+        of Finite Groups, Thm 2.18).  validate_basic makes the table X
+        square; write D for diag(|C_k| / |G|).  The row relations say
+        X D X* = I, so det X is a unit, X^-1 = D X*, and X* X = D^-1,
+        which are the column relations.  The argument holds over any
+        commutative ring containing Q with conj a ring involution: ints,
+        MultiQuadratic and CyclotomicTau's formal Q(zeta_m)[tau] alike.
+        """
         n = len(self.irreps)
         for i in range(n):
             for j in range(i, n):
-                got = self.inner_product_rows(self.irreps[i].values, self.irreps[j].values)
+                x, y = self.irreps[i], self.irreps[j]
+                try:
+                    got = self.inner_product_rows(x.values, y.values)
+                except TableError as exc:
+                    raise TableError(f"{exc} at <{x.label},{y.label}>") from None
                 if got != (1 if i == j else 0):
-                    raise TableError(
-                        f"{self.label}: <{self.irreps[i].label},"
-                        f"{self.irreps[j].label}> = {got}"
-                    )
-        for k in range(n):
-            for l in range(k, n):
-                total = 0
-                for ir in self.irreps:
-                    total = total + ir.values[k] * conj_value(ir.values[l])
-                got = rational_value(total)
-                want = Fraction(self.order, self.classes[k].size) if k == l else 0
-                if got != want:
-                    raise TableError(
-                        f"{self.label}: column orthogonality fails at "
-                        f"({self.classes[k].label}, {self.classes[l].label}): {got}"
-                    )
+                    raise TableError(f"{self.label}: <{x.label},{y.label}> = {got}")
 
 
 def zero_in_every_nontrivial_column(table: CharacterTable) -> bool:

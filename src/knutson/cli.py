@@ -392,12 +392,12 @@ def _suite_orthogonality() -> list[dict]:
         ("psl2", psl2_table, (4, 5, 7, 9)),
     ):
         for k in rng:
+            check = {"name": f"orthogonality {label} {k}", "pass": True}
             try:
                 build(k).check_orthogonality()
-                ok = True
-            except Exception:
-                ok = False
-            checks.append({"name": f"orthogonality {label} {k}", "pass": ok})
+            except (TableError, AssertionError) as exc:
+                check.update({"pass": False, "detail": str(exc)})
+            checks.append(check)
     return checks
 
 

@@ -17,6 +17,7 @@ from math import gcd, lcm
 from .algnum import value_is_zero
 from .chartable import CharacterTable, zero_in_every_nontrivial_column
 from .charring import VirtualCharacter, evaluate, fusion_matrix
+from .errors import CapExceededError
 from .sl2tables import (
     Sl2Param,
     center_fixed_indices,
@@ -24,6 +25,10 @@ from .sl2tables import (
 )
 
 Matrix = list[list[int]]
+
+# Largest group order min_rho_search accepts.  Every table of order <= 60
+# finishes in under 0.1 s; SL2(5), of order 120, ran past 18 s.
+RHO_SEARCH_MAX_ORDER = 60
 
 
 def _mat_vec(a: Matrix, v: list[int]) -> list[int]:
@@ -186,8 +191,14 @@ def min_rho_search(table: CharacterTable) -> tuple[VirtualCharacter, Fraction] |
     deg rho) up to |G|; candidates are enumerated lexicographically
     on multiplicities and pruned by the zero constraint: rho must vanish
     on any class where some irreducible vanishes.  Feasible only for
-    very small groups.
+    very small groups: tables of order above RHO_SEARCH_MAX_ORDER raise
+    CapExceededError.
     """
+    if table.order > RHO_SEARCH_MAX_ORDER:
+        raise CapExceededError(
+            f"min_rho_search({table.label}): order {table.order} exceeds "
+            f"cap {RHO_SEARCH_MAX_ORDER}"
+        )
     step = table.degree_lcm()
     degrees = table.degrees
     nirr = len(degrees)

@@ -74,10 +74,6 @@ def conjugate(parts: Partition) -> Partition:
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
 
 
-def is_self_conjugate(parts: Partition) -> bool:
-    return tuple(parts) == conjugate(parts)
-
-
 def hook_lengths(parts: Partition) -> list[list[int]]:
     """Per-box hook lengths, row by row: arm + leg + 1."""
     conj = conjugate(parts)

@@ -5,8 +5,11 @@ parametrized by abstract roots of unity alpha of order q-1 and beta of
 order q+1 (realized inside Q(zeta_m) with m = lcm(p, q-1, q+1)) and,
 for odd q, the quadratic element tau with tau^2 = eps*q where
 eps = (-1)^((q-1)/2).  No matrix realizations are needed; the classes
-are index-parametrized.  Exact row and column orthogonality is checked
-on construction -- a transcription error in any single entry breaks it.
+are index-parametrized.  Exact row orthogonality is checked on
+construction (the column relations follow from it) -- a transcription
+error in any single entry breaks it.  For odd q the PSL2(q) table is
+read off the SL2(q) table: its rows are the ones fixing -id, and its
+classes are the SL2 columns those rows do not tell apart.
 
 For odd q the classes come in the order
     1, z, c, d, zc, zd, a^1 .. a^((q-3)/2), b^1 .. b^((q-1)/2)
@@ -235,61 +238,44 @@ def center_fixed_indices(table: CharacterTable) -> list[int]:
     ]
 
 
+def _psl2_odd(sl2: CharacterTable) -> CharacterTable:
+    """The table of SL2(q) / {+-1} for odd q, read off the SL2(q) table.
+
+    The rows fixing -id are the full table of PSL2(q), so they separate
+    its classes and agree on g and -g: SL2 columns with equal values on
+    those rows are exactly the classes fused by the quotient.  Each
+    group is one class, labelled by its first member, of half the
+    members' total size.  A kept row that differs on g and -g leaves an
+    extra class, which the table's own validation rejects.
+    """
+    kept = [sl2.irreps[i] for i in center_fixed_indices(sl2)]
+    groups: dict[tuple, list[int]] = {}
+    for k in range(len(sl2.classes)):
+        groups.setdefault(tuple(ir.values[k] for ir in kept), []).append(k)
+    classes = tuple(
+        ConjClass(
+            sl2.classes[ks[0]].label,
+            sum(sl2.classes[k].size for k in ks) // 2,
+            tuple(sl2.classes[k].label for k in ks),
+        )
+        for ks in groups.values()
+    )
+    irreps = tuple(
+        Irrep(ir.label, ir.degree, tuple(ir.values[ks[0]] for ks in groups.values()))
+        for ir in kept
+    )
+    return CharacterTable(f"P{sl2.label}", sl2.order // 2, classes, irreps)
+
+
 @cache
 def _psl2_cached(q: int) -> CharacterTable:
-    par = Sl2Param.from_q(q)
-    if par.is_even:
-        base = _sl2_cached(q)
-        return CharacterTable(
-            f"PSL2({q})", base.order, base.classes, base.irreps,
-            base.identity_index,
-        )
     sl2 = _sl2_cached(q)
-    kept = center_fixed_indices(sl2)
-    q2 = q * q
-
-    # Fused classes: +/-g identified.  a^l merges with a^((q-1)/2 - l)
-    # (= z * a^(-l)) and b^m with b^((q+1)/2 - m); a self-paired index
-    # gives a class of half the size.
-    merged: list[tuple[str, int, list[int]]] = [
-        ("1", 1, [0, 1]),
-        ("c", (q2 - 1) // 2, [2, 4]),
-        ("d", (q2 - 1) // 2, [3, 5]),
-    ]
-    na = (q - 3) // 2
-    a_at = lambda l: 6 + (l - 1)  # noqa: E731
-    b_at = lambda m: 6 + na + (m - 1)  # noqa: E731
-    for l in range(1, na + 1):
-        partner = (q - 1) // 2 - l
-        if l < partner:
-            merged.append((f"a{l}", q * (q + 1), [a_at(l), a_at(partner)]))
-        elif l == partner:
-            merged.append((f"a{l}", q * (q + 1) // 2, [a_at(l)]))
-    for m in range(1, (q - 1) // 2 + 1):
-        partner = (q + 1) // 2 - m
-        if m < partner:
-            merged.append((f"b{m}", q * (q - 1), [b_at(m), b_at(partner)]))
-        elif m == partner:
-            merged.append((f"b{m}", q * (q - 1) // 2, [b_at(m)]))
-
-    classes = tuple(
-        ConjClass(label, size, tuple(sl2.classes[k].label for k in old))
-        for label, size, old in merged
-    )
-    irreps = []
-    for i in kept:
-        ir = sl2.irreps[i]
-        vals = []
-        for _label, _size, old in merged:
-            v = ir.values[old[0]]
-            for k in old[1:]:
-                if ir.values[k] != v:
-                    raise AssertionError(
-                        f"{ir.label} not constant on fused class {_label}"
-                    )
-            vals.append(v)
-        irreps.append(Irrep(ir.label, ir.degree, tuple(vals)))
-    table = CharacterTable(f"PSL2({q})", par.order // 2, classes, tuple(irreps))
+    if q % 2 == 0:
+        return CharacterTable(
+            f"PSL2({q})", sl2.order, sl2.classes, sl2.irreps,
+            sl2.identity_index,
+        )
+    table = _psl2_odd(sl2)
     table.check_orthogonality()
     return table
 
@@ -496,21 +482,6 @@ class RhoInverseReport:
 
     def selected_rows(self) -> dict[str, RhoRowReport]:
         return self.rows[self.column]
-
-    def mapping(self) -> dict[str, VirtualCharacter]:
-        """Irreducible label -> verified rho-inverse (corrections included).
-
-        The trivial character maps to rho itself.
-        """
-        table = sl2_table(self.q)
-        rho = rho_theorem_character(self.q)
-        out = {"1": VirtualCharacter(table, rho.mults)}
-        for report in self.rows[self.column].values():
-            lam = report.lam if report.verified else report.correction
-            if lam is not None:
-                for target in report.targets:
-                    out[target] = lam
-        return out
 
 
 def _verify_row(

@@ -1,4 +1,5 @@
-"""Brute-force oracles that the package's fast paths are tested against."""
+"""Brute-force oracles that the package's fast paths are tested against,
+and a helper that corrupts one entry of a character table."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -7,8 +8,10 @@ from math import gcd, isqrt, lcm
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from knutson.chartable import CharacterTable
-from knutson.partitions import hook_multiset, partitions
+from knutson.algnum import conj_value, rational_value
+from knutson.chartable import CharacterTable, Irrep
+from knutson.errors import TableError
+from knutson.partitions import partitions
 
 Matrix = list[list[int]]
 
@@ -44,6 +47,34 @@ def fusion_matrix_exact(table: CharacterTable, a: int) -> list[list[int]]:
     n = len(table.irreps)
     cols = [tensor_decompose_exact(table, a, c) for c in range(n)]
     return [[cols[c][b] for c in range(n)] for b in range(n)]
+
+
+def column_relations(table: CharacterTable) -> None:
+    """Exact column orthogonality, sum_chi chi(k) conj(chi(l)) =
+    delta_kl |G| / |C_k|; raises TableError on failure."""
+    n = len(table.irreps)
+    for k in range(n):
+        for l in range(k, n):
+            total = 0
+            for ir in table.irreps:
+                total = total + ir.values[k] * conj_value(ir.values[l])
+            got = rational_value(total)
+            want = Fraction(table.order, table.classes[k].size) if k == l else 0
+            if got != want:
+                raise TableError(
+                    f"{table.label}: column orthogonality fails at "
+                    f"({table.classes[k].label}, {table.classes[l].label}): {got}"
+                )
+
+
+def with_entry(table: CharacterTable, i: int, k: int, value) -> CharacterTable:
+    """A copy of table with the value of irreducible i on class k replaced."""
+    ir = table.irreps[i]
+    row = Irrep(ir.label, ir.degree, ir.values[:k] + (value,) + ir.values[k + 1:])
+    return CharacterTable(
+        table.label, table.order, table.classes,
+        table.irreps[:i] + (row,) + table.irreps[i + 1:], table.identity_index,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +277,27 @@ def quadform_box(n: int) -> bool:
     )
 
 
+def _single_even_hook_is_2(lam: tuple[int, ...]) -> bool:
+    """Whether 2 is the only even hook length of lam, counted with
+    multiplicity.  The hooks are read off the beta set: one hook b - x
+    for each bead b and empty position x < b.  The scan stops at the
+    first even hook that rules the shape out."""
+    top = len(lam) - 1
+    beads = 0
+    for i, p in enumerate(lam):
+        beads |= 1 << (p + top - i)
+    seen = False
+    for i, p in enumerate(lam):
+        b = p + top - i
+        for x in range(b - 2, -1, -2):
+            if not beads >> x & 1:
+                if seen or b - x != 2:
+                    return False
+                seen = True
+    return seen
+
+
 def unique_hook2_scan(n: int) -> bool:
     """Whether some partition of n has a single even hook, equal to 2, by
-    scanning the hook multisets of every partition of n."""
-    return any(
-        [h for h in hook_multiset(lam) if h % 2 == 0] == [2]
-        for lam in partitions(n)
-    )
+    scanning the hooks of every partition of n."""
+    return any(_single_even_hook_is_2(lam) for lam in partitions(n))

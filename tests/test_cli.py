@@ -28,7 +28,7 @@ from knutson.partitions import hook_multiset
 from knutson.sequences import L_SEQUENCES_CAP
 from knutson.symchar import an_table, sn_table
 
-from oracles import count_t_cores_quotient
+from oracles import count_t_cores_quotient, with_entry
 
 
 @pytest.fixture(autouse=True)
@@ -47,7 +47,7 @@ def test_value_round_trip():
         MultiQuadratic.sqrt(5),
         MultiQuadratic.sqrt(-3) * Fraction(1, 2) + 4,
         CyclotomicTau.root_of_unity(8, 3),
-        CyclotomicTau.tau_element(12, -3, 2) + CyclotomicTau.root_of_unity(12, 5, -3),
+        CyclotomicTau(12, -3, None, {0: 2}) + CyclotomicTau.root_of_unity(12, 5, -3),
     ]
     for v in samples:
         back = value_from_json(json.loads(json.dumps(value_to_json(v))))
@@ -248,6 +248,40 @@ def test_wrong_loeschian_predicate_is_caught(capsys, monkeypatch):
     assert [c["pass"] for c in checks] == [True, True, False]
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_13_quadratic_form_theorem()
+
+
+def test_verify_orthogonality_names_the_failing_pair(capsys, monkeypatch):
+    # S4 gets a rational entry off by one, A5 a split value negated, which
+    # makes an inner product irrational
+    s4, a5 = sn_table(4), an_table(5)
+    bad_s4 = with_entry(s4, 1, 0, s4.irreps[1].values[0] + 1)  # on the 4-cycles
+    i, k = next(
+        (i, k)
+        for i, ir in enumerate(a5.irreps)
+        for k, v in enumerate(ir.values)
+        if isinstance(v, MultiQuadratic) and not v.is_rational()
+    )
+    bad_a5 = with_entry(a5, i, k, -a5.irreps[i].values[k])
+    monkeypatch.setattr(cli, "sn_table", lambda n: bad_s4 if n == 4 else sn_table(n))
+    monkeypatch.setattr(cli, "an_table", lambda n: bad_a5 if n == 5 else an_table(n))
+    assert main(["verify", "orthogonality"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [c for c in checks if not c["pass"]]
+    assert [c["name"] for c in failed] == ["orthogonality sn 4", "orthogonality an 5"]
+    pair = f"<{s4.irreps[0].label},{s4.irreps[1].label}>"
+    assert failed[0]["detail"].startswith(f"S4: {pair} = ")
+    assert failed[1]["detail"].startswith("A5: irrational inner product")
+    assert failed[1]["detail"].endswith(f",{a5.irreps[i].label}>")
+    assert all("detail" not in c for c in checks if c["pass"])
+
+
+def test_verify_orthogonality_lets_bugs_through(monkeypatch):
+    def buggy(n):
+        raise TypeError("a bug, not a failed check")
+
+    monkeypatch.setattr(cli, "an_table", buggy)
+    with pytest.raises(TypeError):
+        main(["verify", "orthogonality"])
 
 
 def test_exit_code_cap_exceeded(capsys):

@@ -8,7 +8,9 @@ from oracles import _rank, min_multiplier_sympy, snf_solvable
 
 from knutson import knutsonlat
 from knutson.charring import VirtualCharacter, fusion_matrix, regular_character
+from knutson.errors import CapExceededError
 from knutson.knutsonlat import (
+    RHO_SEARCH_MAX_ORDER,
     _mat_vec,
     generalized_lower_bound,
     hermite_basis,
@@ -150,7 +152,9 @@ def test_is_rho_invertible_witness():
     reg = regular_character(table)
     for i in range(len(table.irreps)):
         k = knutson_index_char(table, i)
-        lam = is_rho_invertible(table, i, reg.scaled(k))
+        lam = is_rho_invertible(
+            table, i, VirtualCharacter(table, tuple(k * m for m in reg.mults))
+        )
         assert lam is not None  # witness re-verified by evaluation inside
         if k > 1:
             assert is_rho_invertible(table, i, reg) is None
@@ -199,6 +203,18 @@ def test_min_rho_search_sl2_3():
     rho, kprime = result
     assert kprime == Fraction(1, 4)
     assert rho.degree == 6
+
+
+def test_min_rho_search_cap(monkeypatch):
+    # the cap is checked before any candidate is built
+    def no_candidates(*args):
+        raise AssertionError("enumeration started past the cap")
+
+    monkeypatch.setattr(knutsonlat, "VirtualCharacter", no_candidates)
+    for table in (sn_table(5), sl2_table(5), psl2_table(7)):
+        assert table.order > RHO_SEARCH_MAX_ORDER
+        with pytest.raises(CapExceededError, match="exceeds cap"):
+            min_rho_search(table)
 
 
 @pytest.mark.parametrize("q", (5, 9))

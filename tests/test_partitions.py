@@ -16,7 +16,6 @@ from knutson.partitions import (
     find_t_core,
     hook_lengths,
     hook_multiset,
-    is_self_conjugate,
     is_t_core,
     partitions,
     principal_hooks,
@@ -71,7 +70,12 @@ def test_conjugate_involution(n):
         mu = conjugate(lam)
         assert sum(mu) == n
         assert conjugate(mu) == lam
-        assert is_self_conjugate(lam) == (mu == lam)
+    # self-conjugate partitions correspond to partitions into distinct odd
+    # parts (the principal hooks)
+    assert sum(conjugate(lam) == lam for lam in partitions(n)) == sum(
+        all(p % 2 for p in lam) and len(set(lam)) == len(lam)
+        for lam in partitions(n)
+    )
 
 
 def test_hooks_small_example():

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from knutson.algnum import value_is_zero
+from knutson.algnum import CyclotomicTau, MultiQuadratic, value_is_zero
 from knutson.charring import evaluate
-from knutson.errors import CapExceededError
+from knutson.errors import CapExceededError, TableError
 from knutson.sl2tables import (
     Sl2Param,
+    _psl2_odd,
     center_fixed_indices,
     lcm_degrees_sl2_expected,
     paper_rho_inverses,
@@ -17,6 +18,8 @@ from knutson.sl2tables import (
     sl2_table,
 )
 from knutson.symchar import an_table, sn_table
+
+from oracles import with_entry
 
 ODD_QS = (5, 7, 9, 11, 13)
 EVEN_QS = (2, 4, 8)
@@ -87,6 +90,63 @@ def test_psl2_odd_structure(q):
     table.check_orthogonality()
 
 
+def test_psl2_classes_pinned():
+    def shape(q):
+        return [(c.label, c.size, c.data) for c in psl2_table(q).classes]
+
+    assert shape(9) == [
+        ("1", 1, ("1", "z")), ("c", 40, ("c", "zc")), ("d", 40, ("d", "zd")),
+        ("a1", 90, ("a1", "a3")), ("a2", 45, ("a2",)),
+        ("b1", 72, ("b1", "b4")), ("b2", 72, ("b2", "b3")),
+    ]
+    assert shape(13) == [
+        ("1", 1, ("1", "z")), ("c", 84, ("c", "zc")), ("d", 84, ("d", "zd")),
+        ("a1", 182, ("a1", "a5")), ("a2", 182, ("a2", "a4")), ("a3", 91, ("a3",)),
+        ("b1", 156, ("b1", "b6")), ("b2", 156, ("b2", "b5")),
+        ("b3", 156, ("b3", "b4")),
+    ]
+
+
+@pytest.mark.parametrize("q", (5, 7))
+def test_psl2_rejects_a_kept_row_split_by_the_center(q):
+    # a center-fixed character changed on zc only no longer agrees on
+    # c and zc, so the quotient would get one class too many
+    sl2 = sl2_table(q)
+    zc = [c.label for c in sl2.classes].index("zc")
+    for i in center_fixed_indices(sl2):
+        bad = with_entry(sl2, i, zc, sl2.irreps[i].values[zc] + 1)
+        with pytest.raises(TableError, match="class/irrep count"):
+            _psl2_odd(bad)
+
+
+@pytest.mark.parametrize(
+    "build, param, kind",
+    [
+        (sn_table, 5, int),
+        (an_table, 5, MultiQuadratic),
+        (sl2_table, 5, CyclotomicTau),
+        (sl2_table, 8, CyclotomicTau),
+    ],
+    ids=["S5", "A5", "SL2(5)", "SL2(8)"],
+)
+def test_one_wrong_entry_breaks_orthogonality(build, param, kind):
+    table = build(param)
+    table.check_orthogonality()
+    # the table holds values of the type under test, irrational ones for
+    # the algebraic types
+    assert any(
+        isinstance(v, kind) and (kind is int or not v.is_rational())
+        for ir in table.irreps for v in ir.values
+    )
+    for i, ir in enumerate(table.irreps):
+        for k, v in enumerate(ir.values):
+            if k == table.identity_index:
+                continue
+            for wrong in (v + 1, -v) if v != 0 else (v + 1,):
+                with pytest.raises(TableError):
+                    with_entry(table, i, k, wrong).check_orthogonality()
+
+
 @pytest.mark.parametrize("q", EVEN_QS)
 def test_psl2_even_equals_sl2(q):
     sl2, p = sl2_table(q), psl2_table(q)
@@ -141,9 +201,14 @@ def test_paper_rho_inverse_rows(q):
 
 @pytest.mark.parametrize("q", (5, 7))
 def test_rho_inverse_mapping_covers_all_irreps(q):
+    # rho inverts the trivial character; every other irreducible is the
+    # target of a row that verifies or was corrected
     table = sl2_table(q)
-    mapping = paper_rho_inverses(q).mapping()
-    assert set(mapping) == {ir.label for ir in table.irreps}
+    covered = {"1"}
+    for row in paper_rho_inverses(q).selected_rows().values():
+        if row.verified or row.correction is not None:
+            covered.update(row.targets)
+    assert covered == {ir.label for ir in table.irreps}
 
 
 def test_rho_inverse_coefficient_fractions_detected():
