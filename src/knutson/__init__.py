@@ -9,7 +9,6 @@ from .chartable import (
 )
 from .charring import (
     VirtualCharacter,
-    evaluate,
     fusion_matrix,
     inner_product,
     regular_character,
@@ -63,7 +62,6 @@ __all__ = [
     "an_table",
     "count_t_cores",
     "cycle_types",
-    "evaluate",
     "exists_t_core",
     "find_t_core",
     "fusion_matrix",

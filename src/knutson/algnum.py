@@ -16,12 +16,16 @@ tables need:
   and tau to sign(tau^2) * tau.
 
 Plain int and fractions.Fraction mix freely with both via the arithmetic
-dunders, and the module-level helpers (conj_value, value_is_zero,
-approx_value, rational_value, residue_value) dispatch over all four kinds.
+dunders, and both types answer the number protocol that int and Fraction
+already follow: v.conjugate() is the complex conjugate, bool(v) says
+whether v is non-zero, and complex(v) is a floating-point approximation.
+Callers therefore never ask which kind of value they hold; the one
+helper, rational_value, returns the exact rational content of any kind.
 
 ResidueField is a ring homomorphism from such values into F_p for one
-large prime p; it lets exact integer results (fusion coefficients) be
-read off from modular arithmetic on plain ints.
+large prime p; calling it maps a value of any of the four kinds.  It
+lets exact integer results (fusion coefficients) be read off from
+modular arithmetic on plain ints.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import lcm
 
 from .numtheory import factorize
 
@@ -146,14 +150,14 @@ class MultiQuadratic:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def conj(self) -> "MultiQuadratic":
+    def conjugate(self) -> "MultiQuadratic":
         """Complex conjugation: fixes real radicands, negates imaginary ones."""
         return MultiQuadratic(
             {d: (-c if d < 0 else c) for d, c in self.coeffs.items()}
         )
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_rational(self) -> bool:
         return set(self.coeffs) <= {1}
@@ -163,7 +167,7 @@ class MultiQuadratic:
             raise ValueError(f"not rational: {self}")
         return self.coeffs.get(1, Fraction(0))
 
-    def approx(self) -> complex:
+    def __complex__(self) -> complex:
         return sum(
             (complex(c) * cmath.sqrt(d) for d, c in self.coeffs.items()),
             complex(0),
@@ -173,17 +177,13 @@ class MultiQuadratic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
+        return not (self - o)
 
     def __hash__(self):
         # A rational value must hash like the int or Fraction it equals.
         if self.is_rational():
             return hash(self.coeffs.get(1, Fraction(0)))
         return hash(frozenset(self.coeffs.items()))
-
-    def residue(self, field: "ResidueField") -> int:
-        terms = (field.rational(c) * field.sqrt(d) for d, c in self.coeffs.items())
-        return sum(terms) % field.p
 
     def __repr__(self):
         if not self.coeffs:
@@ -249,25 +249,22 @@ def _power_table(m: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _canonical(m: int, comp: dict[int, Fraction]) -> tuple[Fraction, ...]:
+def _reduce(m: int, comp: dict[int, Fraction]) -> tuple[tuple[int, ...], int]:
+    """sum c_e zeta_m^e reduced mod Phi_m, as (v, den) with v integral.
+
+    The value is sum_i v[i] zeta_m^i / den for 0 <= i < phi(m), and den
+    is the lcm of the coefficient denominators, so the accumulation is
+    pure-int.
+    """
     table = _power_table(m)
-    deg = len(table[0]) if table else 0
-    if not comp:
-        return (Fraction(0),) * deg
-    # Scale to a common denominator so the accumulation is pure-int.
-    den = 1
-    for c in comp.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = [0] * deg
+    den = lcm(1, *(c.denominator for c in comp.values()))
+    out = [0] * len(table[0])
     for e, c in comp.items():
         k = c.numerator * (den // c.denominator)
-        if k == 0:
-            continue
-        row = table[e % m]
-        for i, r in enumerate(row):
+        for i, r in enumerate(table[e]):
             if r:
                 out[i] += k * r
-    return tuple(Fraction(v, den) for v in out)
+    return tuple(out), den
 
 
 class CyclotomicTau:
@@ -377,7 +374,7 @@ class CyclotomicTau:
             )
         return NotImplemented
 
-    def conj(self) -> "CyclotomicTau":
+    def conjugate(self) -> "CyclotomicTau":
         m = self.m
         eps = 0 if self.tau_sq == 0 else (1 if self.tau_sq > 0 else -1)
         return CyclotomicTau(
@@ -386,25 +383,30 @@ class CyclotomicTau:
             {(m - e) % m: eps * c for e, c in self.tau.items()},
         )
 
+    def _reduced(self):
+        """Base and tau components reduced mod Phi_m, each as (v, den)."""
+        return _reduce(self.m, self.base), _reduce(self.m, self.tau)
+
     def canonical(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Components reduced mod Phi_m: vectors of length phi(m)."""
-        return _canonical(self.m, self.base), _canonical(self.m, self.tau)
+        return tuple(
+            tuple(Fraction(v, den) for v in vec) for vec, den in self._reduced()
+        )
 
-    def is_zero(self) -> bool:
-        cb, ct = self.canonical()
-        return not any(cb) and not any(ct)
+    def __bool__(self) -> bool:
+        return any(_reduce(self.m, self.base)[0]) or any(_reduce(self.m, self.tau)[0])
 
     def is_rational(self) -> bool:
-        cb, ct = self.canonical()
-        return not any(ct) and not any(cb[1:])
+        (vb, _), (vt, _) = self._reduced()
+        return not any(vb[1:]) and not any(vt)
 
     def rational_value(self) -> Fraction:
-        cb, ct = self.canonical()
-        if any(ct) or any(cb[1:]):
+        (vb, den), (vt, _) = self._reduced()
+        if any(vb[1:]) or any(vt):
             raise ValueError("not a rational value")
-        return cb[0] if cb else Fraction(0)
+        return Fraction(vb[0], den)
 
-    def approx(self) -> complex:
+    def __complex__(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.m)
         out = sum((complex(c) * z**e for e, c in self.base.items()), complex(0))
         if self.tau:
@@ -418,7 +420,7 @@ class CyclotomicTau:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
+        return not (self - o)
 
     def __hash__(self):
         cb, ct = self.canonical()
@@ -426,17 +428,6 @@ class CyclotomicTau:
             # A rational value must hash like the int or Fraction it equals.
             return hash(cb[0])
         return hash((self.m, self.tau_sq, cb, ct))
-
-    def residue(self, field: "ResidueField") -> int:
-        if (self.m, self.tau_sq) != (field.m, field.tau_sq):
-            raise ValueError(
-                f"value in context ({self.m},{self.tau_sq}) but residue field "
-                f"built for ({field.m},{field.tau_sq})"
-            )
-        base = field.cyclotomic(self.base)
-        if not self.tau:
-            return base
-        return (base + field.tau * field.cyclotomic(self.tau)) % field.p
 
     def __repr__(self):
         def fmt(comp, suffix=""):
@@ -448,39 +439,11 @@ class CyclotomicTau:
         return " + ".join(parts) if parts else "0"
 
 
-# ---------------------------------------------------------------------------
-# generic value helpers (plain rationals mix with both exact systems)
-
-def conj_value(x):
-    if isinstance(x, _RATIONAL_TYPES):
-        return x
-    return x.conj()
-
-
-def value_is_zero(x) -> bool:
-    if isinstance(x, _RATIONAL_TYPES):
-        return x == 0
-    return x.is_zero()
-
-
 def rational_value(x) -> Fraction:
     """Exact rational content of a value; raises if it is irrational."""
     if isinstance(x, _RATIONAL_TYPES):
         return Fraction(x)
     return x.rational_value()
-
-
-def residue_value(x, field: "ResidueField") -> int:
-    """phi(x) in F_p, for a value of the kinds field was built from."""
-    if isinstance(x, _RATIONAL_TYPES):
-        return field.rational(x)
-    return x.residue(field)
-
-
-def approx_value(x) -> complex:
-    if isinstance(x, _RATIONAL_TYPES):
-        return complex(x)
-    return x.approx()
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +589,32 @@ class ResidueField:
         tau = _sqrt_mod(tau_sq, p) if tau_sq else 0
         return cls(p, m, tau_sq, tuple(powers), tau, roots)
 
-    def rational(self, x) -> int:
-        if isinstance(x, int):
-            return x % self.p
-        return x.numerator * pow(x.denominator, -1, self.p) % self.p
+    def __call__(self, v) -> int:
+        """phi(v) for an int, Fraction, MultiQuadratic or CyclotomicTau.
 
-    def sqrt(self, d: int) -> int:
+        A CyclotomicTau must live in the (m, tau_sq) context the field
+        was built for.
+        """
+        p = self.p
+        if isinstance(v, int):
+            return v % p
+        if isinstance(v, Fraction):
+            return v.numerator * pow(v.denominator, -1, p) % p
+        if isinstance(v, MultiQuadratic):
+            return sum(self(c) * self._sqrt(d) for d, c in v.coeffs.items()) % p
+        if isinstance(v, CyclotomicTau):
+            if (v.m, v.tau_sq) != (self.m, self.tau_sq):
+                raise ValueError(
+                    f"value in context ({v.m},{v.tau_sq}) but residue field "
+                    f"built for ({self.m},{self.tau_sq})"
+                )
+            base = self._cyclotomic(v.base)
+            if not v.tau:
+                return base
+            return (base + self.tau * self._cyclotomic(v.tau)) % p
+        raise TypeError(f"no residue for {v!r}")
+
+    def _sqrt(self, d: int) -> int:
         """phi(sqrt(d)) for a nonzero integer d."""
         p = self.p
         out = self.roots[-1] if d < 0 else 1
@@ -639,7 +622,7 @@ class ResidueField:
             out = out * pow(self.roots[r], e, p) % p
         return out
 
-    def cyclotomic(self, comp: dict) -> int:
+    def _cyclotomic(self, comp: dict) -> int:
         """phi of sum c_e zeta_m^e, for a sparse exponent -> coefficient map."""
         powers = self.powers
-        return sum(self.rational(c) * powers[e] for e, c in comp.items()) % self.p
+        return sum(self(c) * powers[e] for e, c in comp.items()) % self.p

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .algnum import ResidueField, conj_value, residue_value, value_is_zero
+from .algnum import ResidueField
 from .chartable import CharacterTable
 
 
@@ -36,9 +36,12 @@ class VirtualCharacter:
         return sum(m * d for m, d in zip(self.mults, self.table.degrees))
 
     def values(self) -> tuple:
-        return tuple(
-            evaluate(self, k) for k in range(len(self.table.classes))
-        )
+        """Exact values on the table's classes, in class order."""
+        total = [0] * len(self.table.classes)
+        for m, ir in zip(self.mults, self.table.irreps):
+            if m:
+                total = [t + m * v for t, v in zip(total, ir.values)]
+        return tuple(total)
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         if other.table is not self.table:
@@ -46,15 +49,6 @@ class VirtualCharacter:
         return VirtualCharacter(
             self.table, tuple(a + b for a, b in zip(self.mults, other.mults))
         )
-
-
-def evaluate(x: VirtualCharacter, cls: int):
-    """Exact value of the virtual character on class index cls."""
-    total = 0
-    for m, ir in zip(x.mults, x.table.irreps):
-        if m:
-            total = total + m * ir.values[cls]
-    return total
 
 
 def inner_product(x: VirtualCharacter, y: VirtualCharacter) -> int:
@@ -78,12 +72,9 @@ def _residue_rows(table: CharacterTable) -> tuple[int, list, list]:
         p = field.p
         inv_order = pow(table.order, -1, p)
         scale = [cls.size * inv_order % p for cls in table.classes]
-        rows = [[residue_value(v, field) for v in ir.values] for ir in table.irreps]
+        rows = [[field(v) for v in ir.values] for ir in table.irreps]
         weighted = [
-            [
-                s * residue_value(conj_value(v), field) % p
-                for s, v in zip(scale, ir.values)
-            ]
+            [s * field(v.conjugate()) % p for s, v in zip(scale, ir.values)]
             for ir in table.irreps
         ]
         table._residue_rows = (p, rows, weighted)
@@ -145,17 +136,18 @@ def fusion_matrix(table: CharacterTable, a: int) -> list[list[int]]:
 def regular_character(table: CharacterTable) -> VirtualCharacter:
     """sum of deg(chi) * chi; |G| at the identity, 0 elsewhere (asserted)."""
     reg = VirtualCharacter(table, table.degrees)
-    for k in range(len(table.classes)):
-        v = evaluate(reg, k)
-        want = table.order if k == table.identity_index else 0
-        if not value_is_zero(v - want):
-            raise AssertionError("regular character evaluation failed")
+    want = tuple(
+        table.order if k == table.identity_index else 0
+        for k in range(len(table.classes))
+    )
+    if reg.values() != want:
+        raise AssertionError("regular character evaluation failed")
     return reg
 
 
 def trivial_index(table: CharacterTable) -> int:
     """Index of the trivial character (all values 1)."""
     for i, ir in enumerate(table.irreps):
-        if ir.degree == 1 and all(value_is_zero(v - 1) for v in ir.values):
+        if ir.degree == 1 and all(v == 1 for v in ir.values):
             return i
     raise AssertionError("table has no trivial character")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Sequence
 
-from .algnum import conj_value, rational_value, value_is_zero
+from .algnum import rational_value
 from .errors import TableError
 
 
@@ -76,8 +76,7 @@ class CharacterTable:
         for ir in self.irreps:
             if len(ir.values) != len(self.classes):
                 raise TableError(f"{self.label}: ragged value row {ir.label}")
-            idv = ir.values[self.identity_index]
-            if rational_value(idv) != ir.degree:
+            if ir.values[self.identity_index] != ir.degree:
                 raise TableError(
                     f"{self.label}: identity value of {ir.label} is not its degree"
                 )
@@ -90,7 +89,7 @@ class CharacterTable:
         """
         total = 0
         for cls, x, y in zip(self.classes, xvals, yvals):
-            total = total + cls.size * (x * conj_value(y))
+            total = total + cls.size * (x * y.conjugate())
         try:
             return rational_value(total) / self.order
         except ValueError:
@@ -130,6 +129,6 @@ def zero_in_every_nontrivial_column(table: CharacterTable) -> bool:
     for k in range(len(table.classes)):
         if k == table.identity_index:
             continue
-        if not any(value_is_zero(ir.values[k]) for ir in table.irreps):
+        if all(ir.values[k] for ir in table.irreps):
             return False
     return True

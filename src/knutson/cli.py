@@ -274,7 +274,7 @@ _SEQ_FUNCS = {
 def cmd_seq(args) -> int:
     if args.id not in _SEQ_FUNCS:
         raise UsageError(f"unknown sequence {args.id!r}")
-    limit = args.limit or _SEQ_DEFAULT_LIMITS[args.id]
+    limit = _SEQ_DEFAULT_LIMITS[args.id] if args.limit is None else args.limit
     record = _SEQ_FUNCS[args.id](limit)
     if args.bfile:
         out = "".join(
@@ -485,7 +485,7 @@ def cmd_verify(args) -> int:
     suites = {
         "orthogonality": _suite_orthogonality,
         "sequences": _suite_sequences,
-        "sl2-rho": lambda: _suite_sl2_rho(args.q or 5),
+        "sl2-rho": lambda: _suite_sl2_rho(5 if args.q is None else args.q),
         "knutson-small": _suite_knutson_small,
         "cores": _suite_cores,
     }

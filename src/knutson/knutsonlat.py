@@ -14,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algnum import value_is_zero
 from .chartable import CharacterTable, zero_in_every_nontrivial_column
-from .charring import VirtualCharacter, evaluate, fusion_matrix
+from .charring import VirtualCharacter, fusion_matrix
 from .errors import CapExceededError
 from .sl2tables import (
     Sl2Param,
@@ -29,6 +28,12 @@ Matrix = list[list[int]]
 # Largest group order min_rho_search accepts.  Every table of order <= 60
 # finishes in under 0.1 s; SL2(5), of order 120, ran past 18 s.
 RHO_SEARCH_MAX_ORDER = 60
+
+# Most classes a table may have for knutson_index_char.  The cost grows
+# fast with the class count k: whole-group indices took 5.2 s for A14
+# (k = 72), 16.8 s for A15 (k = 94) and 19.9 s for S13 (k = 101); S14
+# (k = 135) and beyond run for minutes or hours.
+INDEX_MAX_CLASSES = 101
 
 
 def _mat_vec(a: Matrix, v: list[int]) -> list[int]:
@@ -146,15 +151,23 @@ def is_rho_invertible(
     if x is None:
         return None
     lam = VirtualCharacter(table, tuple(x))
-    chi_vals = table.irreps[chi].values
-    for k in range(len(table.classes)):
-        if not value_is_zero(chi_vals[k] * evaluate(lam, k) - evaluate(rho, k)):
-            raise AssertionError("rho-inverse witness fails evaluation")
+    got = tuple(c * v for c, v in zip(table.irreps[chi].values, lam.values()))
+    if got != rho.values():
+        raise AssertionError("rho-inverse witness fails evaluation")
     return lam
 
 
 def knutson_index_char(table: CharacterTable, chi: int) -> int:
-    """Least n such that chi is n*rho_reg-invertible."""
+    """Least n such that chi is n*rho_reg-invertible.
+
+    Tables with more than INDEX_MAX_CLASSES classes raise
+    CapExceededError before any fusion matrix is built.
+    """
+    if len(table.classes) > INDEX_MAX_CLASSES:
+        raise CapExceededError(
+            f"knutson_index_char({table.label}): class count "
+            f"{len(table.classes)} exceeds cap {INDEX_MAX_CLASSES}"
+        )
     n = min_multiplier(fusion_matrix(table, chi), list(table.degrees))
     if n is None:
         raise AssertionError("no multiple of rho_reg is attainable")
@@ -206,7 +219,7 @@ def min_rho_search(table: CharacterTable) -> tuple[VirtualCharacter, Fraction] |
         k
         for k in range(len(table.classes))
         if k != table.identity_index
-        and any(value_is_zero(ir.values[k]) for ir in table.irreps)
+        and not all(ir.values[k] for ir in table.irreps)
     ]
 
     def candidates(i: int, remaining: int, acc: list[int]):
@@ -221,9 +234,8 @@ def min_rho_search(table: CharacterTable) -> tuple[VirtualCharacter, Fraction] |
     for total in range(step, table.order + 1, step):
         for mults in candidates(0, total, []):
             rho = VirtualCharacter(table, mults)
-            if not all(
-                value_is_zero(evaluate(rho, k)) for k in zero_classes
-            ):
+            values = rho.values()
+            if any(values[k] for k in zero_classes):
                 continue
             if all(
                 is_rho_invertible(table, i, rho) is not None
@@ -255,11 +267,10 @@ def verify_rho_pm_obstruction(q: int) -> bool:
         tuple(0 if i in fixed else ir.degree for i, ir in enumerate(table.irreps)),
     )
     half = table.order // 2
+    zeros = (0,) * (len(table.classes) - 2)
     for rho, at_z in ((rho_plus, half), (rho_minus, -half)):
-        for k in range(len(table.classes)):
-            want = half if k == 0 else (at_z if k == 1 else 0)
-            if not value_is_zero(evaluate(rho, k) - want):
-                raise AssertionError("rho+/- evaluation mismatch")
+        if rho.values() != (half, at_z) + zeros:
+            raise AssertionError("rho+/- evaluation mismatch")
     if q % 4 == 1:
         pair = (table.irrep_index("theta1"), table.irrep_index("theta2"))
     else:

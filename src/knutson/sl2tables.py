@@ -34,9 +34,9 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .algnum import CyclotomicTau, value_is_zero
+from .algnum import CyclotomicTau
 from .chartable import CharacterTable, ConjClass, Irrep
-from .charring import VirtualCharacter, evaluate, fusion_matrix
+from .charring import VirtualCharacter, fusion_matrix
 from .errors import CapExceededError
 from .numtheory import factorize
 
@@ -54,6 +54,10 @@ class Sl2Param:
 
     @classmethod
     def from_q(cls, q: int) -> "Sl2Param":
+        """Raises CapExceededError above every cap, before factorising q."""
+        cap = max(EVEN_CAP, ODD_CAP)
+        if q > cap:
+            raise CapExceededError(f"q = {q} exceeds the largest supported q, {cap}")
         fac = factorize(q)
         if len(fac) != 1:
             raise ValueError(f"q = {q} is not a prime power")
@@ -311,12 +315,9 @@ def rho_theorem_character(q: int) -> VirtualCharacter:
         for i, ir in enumerate(table.irreps)
     )
     rho = VirtualCharacter(table, mults)
-    for k in range(len(table.classes)):
-        want = table.order if k in (0, 1) else 0
-        if not value_is_zero(evaluate(rho, k) - want):
-            raise AssertionError(
-                f"rho evaluation mismatch on class {table.classes[k].label}"
-            )
+    want = (table.order,) * 2 + (0,) * (len(table.classes) - 2)
+    if rho.values() != want:
+        raise AssertionError(f"rho evaluation mismatch on {table.label}")
     return rho
 
 

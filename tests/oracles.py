@@ -8,7 +8,7 @@ from math import gcd, isqrt, lcm
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from knutson.algnum import conj_value, rational_value
+from knutson.algnum import rational_value
 from knutson.chartable import CharacterTable, Irrep
 from knutson.errors import TableError
 from knutson.partitions import partitions
@@ -57,7 +57,7 @@ def column_relations(table: CharacterTable) -> None:
         for l in range(k, n):
             total = 0
             for ir in table.irreps:
-                total = total + ir.values[k] * conj_value(ir.values[l])
+                total = total + ir.values[k] * ir.values[l].conjugate()
             got = rational_value(total)
             want = Fraction(table.order, table.classes[k].size) if k == l else 0
             if got != want:

@@ -3,11 +3,9 @@
 import pytest
 from oracles import fusion_matrix_exact
 
-from knutson.algnum import value_is_zero
 from knutson.chartable import CharacterTable, Irrep
 from knutson.charring import (
     VirtualCharacter,
-    evaluate,
     fusion_matrix,
     inner_product,
     regular_character,
@@ -35,6 +33,16 @@ def test_irreducibles_are_orthonormal(table):
         for j in range(i, n):
             e_j = VirtualCharacter(table, tuple(int(k == j) for k in range(n)))
             assert inner_product(e_i, e_j) == (1 if i == j else 0)
+
+
+def test_trivial_index_skips_other_linear_characters():
+    # S4 with its irreducibles reversed: the sign comes before the trivial one
+    s4 = sn_table(4)
+    table = CharacterTable(
+        s4.label, s4.order, s4.classes, s4.irreps[::-1], s4.identity_index
+    )
+    assert table.irreps[0].degree == 1
+    assert table.irreps[trivial_index(table)].label == "(4,)"
 
 
 @pytest.mark.parametrize("table", TABLES, ids=lambda t: t.label)
@@ -90,7 +98,7 @@ def test_sign_tensor_is_conjugate_shape():
 def test_regular_character(table):
     reg = regular_character(table)
     assert reg.degree == table.order
-    assert not value_is_zero(evaluate(reg, table.identity_index))
+    assert reg.values()[table.identity_index] == table.order
     # chi (x) rho_reg = chi(1) * rho_reg, for every chi
     for a in range(len(table.irreps)):
         m = fusion_matrix(table, a)

@@ -2,12 +2,16 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from knutson import cli, numtheory
 from knutson.algnum import CyclotomicTau, MultiQuadratic
@@ -22,11 +26,11 @@ from knutson.cli import (
     value_from_json,
     value_to_json,
 )
-from knutson.sl2tables import sl2_table
+from knutson.sl2tables import EVEN_CAP, sl2_table
 from knutson.errors import TableError
-from knutson.partitions import hook_multiset
-from knutson.sequences import L_SEQUENCES_CAP
-from knutson.symchar import an_table, sn_table
+from knutson.partitions import CORES_MAX_N, hook_multiset
+from knutson.sequences import L_SEQUENCES_CAP, ZERO_COLUMNS_CAP
+from knutson.symchar import DEFAULT_CAP, an_table, sn_table
 
 from oracles import count_t_cores_quotient, with_entry
 
@@ -34,6 +38,23 @@ from oracles import count_t_cores_quotient, with_entry
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("KNUTSON_CACHE_DIR", str(tmp_path / "cache"))
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in a run that has not finished after seconds,
+    so that a hang fails the test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_value_round_trip():
@@ -332,8 +353,154 @@ def test_exit_code_fusion_range_check(capsys, monkeypatch):
     assert err.startswith("error: verification failed") and err.count("\n") == 1
 
 
+def test_irrational_identity_value_exits_1(capsys, monkeypatch):
+    a5 = an_table(5)
+    i = a5.degrees.index(4)
+    monkeypatch.setattr(
+        cli, "an_table",
+        lambda n: with_entry(a5, i, a5.identity_index, 4 + MultiQuadratic.sqrt(5)),
+    )
+    assert main(["table", "an", "5", "--no-cache"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: verification failed: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["seq", "a363675", "--limit", "0"], ["verify", "sl2-rho", "--q", "0"]]
+)
+def test_zero_limit_and_q_exit_2(capsys, argv):
+    # 0 is an input, not a request for the default
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "sl2", "1000000000000000003"],
+        ["knutson", "psl2", "1000000000000000003"],
+        ["verify", "sl2-rho", "--q", "1000000000000000003"],
+    ],
+)
+def test_huge_q_exits_3_fast(capsys, argv):
+    start = time.perf_counter()
+    with _time_limit(10):
+        assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_knutson_index_cap_exits_3(capsys):
+    with _time_limit(10):
+        assert main(["knutson", "sn", "14", "--no-cache"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds cap" in captured.err
+
+
+def test_knutson_single_char_at_the_index_cap(capsys):
+    assert main(["knutson", "sn", "13", "--char", "(13,)", "--no-cache"]) == 0
+    assert "index: 1" in capsys.readouterr().out.splitlines()
+
+
 def test_cap_checked_before_cache(capsys):
     cache_store("sn-23", sn_table(4))  # a validly checksummed entry
     assert cache_load("sn-23") is not None
     assert main(["table", "sn", "23"]) == 3
     assert "exceeds cap" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the argument grammar
+
+HUGE = 10**18 + 3
+
+
+def _numbers(low, high, *special):
+    """Mostly a small range; else 0, negatives, 10**18 + 3 or a given value."""
+    small = st.integers(low, high)
+    return st.one_of(
+        small, small, st.sampled_from((0, -1, -7, HUGE) + special)
+    ).map(str)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+# In-cap inputs that take seconds stay out: tables of S_n and A_n above
+# 12 (the table cap, 22, is such an input) and Knutson indices of tables
+# above 43 classes, S13 at the index cap included.  S14 and A16 are past
+# the index cap, so `knutson` on them exits 3.
+_GROUP_PARAMS = {
+    "sn": _numbers(1, 10, 14, DEFAULT_CAP + 1),
+    "an": _numbers(3, 12, 16, DEFAULT_CAP + 1),
+    "sl2": _numbers(2, 17, EVEN_CAP, EVEN_CAP + 1),
+    "psl2": _numbers(2, 17, EVEN_CAP, EVEN_CAP + 1),
+}
+_CHARS = st.sampled_from(
+    ["1", "psi", "chi1", "xi2", "(3,)", "(2, 1)", "(1, 1, 1)", "foo", ""]
+)
+_JUNK = st.sampled_from(["--bogus", "frobnicate", "--format", "--no-cache", "-h"])
+_FORMATS = st.sampled_from(["text", "json", "csv"])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["table", "seq", "knutson", "verify", "cores"]))
+    if command in ("table", "knutson"):
+        kind = draw(st.sampled_from(sorted(_GROUP_PARAMS)))
+        argv = [command, kind, draw(_GROUP_PARAMS[kind])]
+        argv += draw(_optional("--format", _FORMATS))
+        argv += draw(st.sampled_from([[], ["--no-cache"]]))
+        if command == "knutson":
+            argv += draw(_optional("--char", _CHARS))
+            argv += draw(_optional("--rho", st.sampled_from(["regular", "theorem"])))
+    elif command == "seq":
+        argv = ["seq", draw(st.sampled_from(["a363675", "a363676", "a363701"]))]
+        limits = _numbers(
+            1, 40, ZERO_COLUMNS_CAP, L_SEQUENCES_CAP, L_SEQUENCES_CAP + 1
+        )
+        argv += draw(_optional("--limit", limits))
+        argv += draw(_optional("--format", _FORMATS))
+        argv += draw(st.sampled_from([[], ["--bfile"]]))
+    elif command == "verify":
+        suites = ["orthogonality", "sequences", "sl2-rho", "knutson-small", "cores"]
+        argv = ["verify", draw(st.sampled_from(suites))]
+        argv += draw(_optional("--q", _numbers(2, 17, EVEN_CAP, EVEN_CAP + 1)))
+    else:
+        argv = [
+            "cores",
+            "--n", draw(_numbers(0, 30, CORES_MAX_N, CORES_MAX_N + 1)),
+            "--t", draw(_numbers(2, 15, 2**61 - 1)),
+        ]
+        argv += draw(_optional("--format", st.sampled_from(["text", "json"])))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=timedelta(seconds=5),
+    # explaining a failure traces every line, too slow for the time limit
+    phases=[Phase.generate, Phase.shrink],
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argvs())
+def test_fuzz_argument_grammar(capsys, argv):
+    # every input ends in a documented exit code, or in argparse's own
+    # exit for a malformed or --help command line, and nothing hangs (a
+    # hypothesis deadline is only checked once a run returns)
+    with _time_limit(10):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code in (0, 2), argv
+    assert code in (0, 1, 2, 3, 4), argv
+    assert "Traceback" not in capsys.readouterr().err

@@ -10,6 +10,7 @@ from knutson import knutsonlat
 from knutson.charring import VirtualCharacter, fusion_matrix, regular_character
 from knutson.errors import CapExceededError
 from knutson.knutsonlat import (
+    INDEX_MAX_CLASSES,
     RHO_SEARCH_MAX_ORDER,
     _mat_vec,
     generalized_lower_bound,
@@ -215,6 +216,18 @@ def test_min_rho_search_cap(monkeypatch):
         assert table.order > RHO_SEARCH_MAX_ORDER
         with pytest.raises(CapExceededError, match="exceeds cap"):
             min_rho_search(table)
+
+
+def test_knutson_index_cap(monkeypatch):
+    # the cap is checked before any fusion matrix is built
+    def no_fusion(*args):
+        raise AssertionError("fusion matrix built past the cap")
+
+    monkeypatch.setattr(knutsonlat, "fusion_matrix", no_fusion)
+    table = sn_table(14)
+    assert len(table.classes) > INDEX_MAX_CLASSES
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        knutson_index_char(table, 0)
 
 
 @pytest.mark.parametrize("q", (5, 9))

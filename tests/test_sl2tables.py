@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from knutson.algnum import CyclotomicTau, MultiQuadratic, value_is_zero
-from knutson.charring import evaluate
+from knutson.algnum import CyclotomicTau, MultiQuadratic
 from knutson.errors import CapExceededError, TableError
 from knutson.sl2tables import (
+    EVEN_CAP,
+    ODD_CAP,
     Sl2Param,
     _psl2_odd,
     center_fixed_indices,
@@ -40,6 +41,15 @@ def test_caps():
         sl2_table(64)
     with pytest.raises(CapExceededError):
         psl2_table(17)
+
+
+def test_param_caps_q_before_factorising():
+    # every q above both caps is refused before it is factorised, prime
+    # power or not (test_cli times a huge q)
+    for q in (33, 37, 64):
+        with pytest.raises(CapExceededError, match="largest supported q"):
+            Sl2Param.from_q(q)
+    assert Sl2Param.from_q(max(EVEN_CAP, ODD_CAP)).f == 5
 
 
 @pytest.mark.parametrize("q", ODD_QS)
@@ -164,19 +174,19 @@ def test_center_fixed_indices(q):
     table = sl2_table(q)
     fixed = set(center_fixed_indices(table))
     for i, ir in enumerate(table.irreps):
-        same = value_is_zero(ir.values[1] - ir.degree)
-        assert (i in fixed) == same
+        assert (i in fixed) == (ir.values[1] == ir.degree)
         if i not in fixed:
-            assert value_is_zero(ir.values[1] + ir.degree)
+            assert ir.values[1] == -ir.degree
 
 
 @pytest.mark.parametrize("q", ODD_QS)
 def test_rho_theorem_character_values(q):
     table = sl2_table(q)
     rho = rho_theorem_character(q)
+    values = rho.values()
     for k in range(len(table.classes)):
         want = table.order if k in (0, 1) else 0
-        assert value_is_zero(evaluate(rho, k) - want)
+        assert values[k] == want
 
 
 @pytest.mark.parametrize("q", (5, 7, 11, 13))

@@ -4,9 +4,10 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from oracles import with_entry
 
-from knutson.algnum import rational_value
-from knutson.errors import CapExceededError
+from knutson.algnum import MultiQuadratic, rational_value
+from knutson.errors import CapExceededError, TableError
 from knutson.partitions import conjugate, degree_hook, partitions, principal_hooks
 from knutson.symchar import (
     CycleType,
@@ -129,6 +130,13 @@ def test_an_table_structure():
         assert table.order == factorial(n) // 2
         assert sum(d * d for d in table.degrees) == table.order
         table.check_orthogonality()
+
+
+def test_irrational_identity_value_is_a_table_error():
+    a5 = an_table(5)
+    i = a5.degrees.index(4)
+    with pytest.raises(TableError, match="is not its degree"):
+        with_entry(a5, i, a5.identity_index, 4 + MultiQuadratic.sqrt(5))
 
 
 def test_an_split_pair_sums_to_restriction():
