@@ -24,7 +24,6 @@ from .knutsonlat import (
     min_multiplier,
     min_rho_search,
     solve_integer,
-    verify_rho_pm_obstruction,
     zero_column_criterion,
 )
 from .numtheory import is_loeschian, is_triangular, quadform_xxyy, sigma3
@@ -43,6 +42,7 @@ from .sl2tables import (
     psl2_table,
     rho_theorem_character,
     sl2_table,
+    verify_rho_pm_obstruction,
 )
 from .symchar import an_table, cycle_types, mn_value, sn_table
 

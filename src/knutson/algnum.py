@@ -145,11 +145,6 @@ class MultiQuadratic:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, _RATIONAL_TYPES):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def conjugate(self) -> "MultiQuadratic":
         """Complex conjugation: fixes real radicands, negates imaginary ones."""
         return MultiQuadratic(
@@ -271,7 +266,8 @@ class CyclotomicTau:
     """a + b*tau with a, b in Q(zeta_m) and tau^2 = tau_sq (an integer).
 
     tau_sq = 0 marks a table without the quadratic element (even q);
-    the tau component is then identically empty.
+    the tau component is then identically empty.  Coefficients are ints
+    or Fractions, kept as given.
     """
 
     __slots__ = ("m", "tau_sq", "base", "tau")
@@ -279,8 +275,8 @@ class CyclotomicTau:
     def __init__(self, m: int, tau_sq: int, base=None, tau=None):
         self.m = m
         self.tau_sq = tau_sq
-        self.base = {e % m: Fraction(c) for e, c in (base or {}).items() if c != 0}
-        self.tau = {e % m: Fraction(c) for e, c in (tau or {}).items() if c != 0}
+        self.base = {e % m: c for e, c in (base or {}).items() if c != 0}
+        self.tau = {e % m: c for e, c in (tau or {}).items() if c != 0}
         if tau_sq == 0 and self.tau:
             raise ValueError("tau component without a tau^2 relation")
 
@@ -363,16 +359,6 @@ class CyclotomicTau:
         return CyclotomicTau(self.m, self.tau_sq, base, tau)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _RATIONAL_TYPES):
-            inv = Fraction(1) / Fraction(other)
-            return CyclotomicTau(
-                self.m, self.tau_sq,
-                {e: c * inv for e, c in self.base.items()},
-                {e: c * inv for e, c in self.tau.items()},
-            )
-        return NotImplemented
 
     def conjugate(self) -> "CyclotomicTau":
         m = self.m

@@ -58,9 +58,6 @@ class CharacterTable:
                 return i
         raise KeyError(label)
 
-    def value(self, irrep: int, cls: int):
-        return self.irreps[irrep].values[cls]
-
     def degree_lcm(self) -> int:
         return lcm(*self.degrees)
 

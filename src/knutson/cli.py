@@ -33,11 +33,11 @@ from .chartable import (
 )
 from .errors import CapExceededError, TableError
 from .knutsonlat import (
+    check_index_cap,
     generalized_lower_bound,
     knutson_index_char,
     knutson_index_group,
     min_rho_search,
-    verify_rho_pm_obstruction,
 )
 from .numtheory import is_loeschian, quadform_xxyy, sigma3
 from .partitions import (
@@ -49,8 +49,14 @@ from .partitions import (
     partitions,
 )
 from .sequences import seq_L_An, seq_L_Sn, seq_zero_columns_sn
-from .sl2tables import Sl2Param, paper_rho_inverses, psl2_table, sl2_table
-from .symchar import DEFAULT_CAP, an_table, sn_table
+from .sl2tables import (
+    Sl2Param,
+    paper_rho_inverses,
+    psl2_table,
+    sl2_table,
+    verify_rho_pm_obstruction,
+)
+from .symchar import DEFAULT_CAP, an_classes, an_table, cycle_types, sn_table
 
 CACHE_VERSION = 1
 
@@ -194,13 +200,14 @@ def cache_store(key: str, table: CharacterTable) -> None:
 
 
 def _check_cap(kind: str, param: int) -> None:
-    """The builders' default cap, checked before any cache read."""
+    """The builders' caps, checked before any cache read."""
     if kind in ("sn", "an"):
-        cap = DEFAULT_CAP
+        if param > DEFAULT_CAP:
+            raise CapExceededError(
+                f"{kind}_table({param}) exceeds cap {DEFAULT_CAP}"
+            )
     else:
-        cap = Sl2Param.from_q(param).default_cap
-    if param > cap:
-        raise CapExceededError(f"{kind}_table({param}) exceeds cap {cap}")
+        Sl2Param.from_q(param)
 
 
 def get_table(kind: str, param: int, use_cache: bool = True) -> CharacterTable:
@@ -222,17 +229,13 @@ def get_table(kind: str, param: int, use_cache: bool = True) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _render_value(v) -> str:
-    return str(v)
-
-
 def render_table_text(table: CharacterTable) -> str:
     lines = [f"{table.label}  order {table.order}"]
     header = ["class"] + [c.label for c in table.classes]
     sizes = ["size"] + [str(c.size) for c in table.classes]
     rows = [header, sizes]
     for ir in table.irreps:
-        rows.append([ir.label] + [_render_value(v) for v in ir.values])
+        rows.append([ir.label] + [str(v) for v in ir.values])
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     for r in rows:
         lines.append("  ".join(s.rjust(w) for s, w in zip(r, widths)))
@@ -244,7 +247,7 @@ def render_table_csv(table: CharacterTable) -> str:
     lines.append("size," + ",".join(str(c.size) for c in table.classes))
     for ir in table.irreps:
         lines.append(
-            ir.label + "," + ",".join(_render_value(v) for v in ir.values)
+            ir.label + "," + ",".join(str(v) for v in ir.values)
         )
     return "\n".join(lines)
 
@@ -296,6 +299,12 @@ def cmd_seq(args) -> int:
 
 
 def cmd_knutson(args) -> int:
+    if args.kind in ("sn", "an") and args.param >= 1:
+        # the class count is known from n, so a table past the index cap
+        # is refused before it is built
+        _check_cap(args.kind, args.param)
+        classes = (cycle_types if args.kind == "sn" else an_classes)(args.param)
+        check_index_cap(f"{args.kind[0].upper()}{args.param}", len(classes))
     table = get_table(args.kind, args.param, use_cache=not args.no_cache)
     report: dict = {"group": table.label, "order": table.order}
     # Each per-character index is computed at most once: the group index

@@ -17,11 +17,6 @@ from math import gcd, lcm
 from .chartable import CharacterTable, zero_in_every_nontrivial_column
 from .charring import VirtualCharacter, fusion_matrix
 from .errors import CapExceededError
-from .sl2tables import (
-    Sl2Param,
-    center_fixed_indices,
-    sl2_table,
-)
 
 Matrix = list[list[int]]
 
@@ -36,7 +31,7 @@ RHO_SEARCH_MAX_ORDER = 60
 INDEX_MAX_CLASSES = 101
 
 
-def _mat_vec(a: Matrix, v: list[int]) -> list[int]:
+def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     return [sum(r[k] * v[k] for k in range(len(v))) for r in a]
 
 
@@ -118,7 +113,7 @@ def solve_integer(m: Matrix, b: list[int]) -> list[int] | None:
     if solved is None or solved[0] != 1:
         return None
     x = solved[1]
-    if _mat_vec(m, x) != list(b):
+    if mat_vec(m, x) != list(b):
         raise AssertionError("integer solve verification failed")
     return x
 
@@ -132,7 +127,7 @@ def min_multiplier(m: Matrix, v: list[int]) -> int | None:
     if solved is None:
         return None
     n, x = solved
-    if _mat_vec(m, x) != [n * a for a in v]:
+    if mat_vec(m, x) != [n * a for a in v]:
         raise AssertionError("min_multiplier witness fails M*x = n*v")
     return n
 
@@ -157,17 +152,26 @@ def is_rho_invertible(
     return lam
 
 
+def check_index_cap(label: str, classes: int) -> None:
+    """CapExceededError for a table of more than INDEX_MAX_CLASSES classes.
+
+    The class count is all it needs, so a caller that knows the count
+    can refuse a group before building its table.
+    """
+    if classes > INDEX_MAX_CLASSES:
+        raise CapExceededError(
+            f"knutson_index_char({label}): class count "
+            f"{classes} exceeds cap {INDEX_MAX_CLASSES}"
+        )
+
+
 def knutson_index_char(table: CharacterTable, chi: int) -> int:
     """Least n such that chi is n*rho_reg-invertible.
 
     Tables with more than INDEX_MAX_CLASSES classes raise
     CapExceededError before any fusion matrix is built.
     """
-    if len(table.classes) > INDEX_MAX_CLASSES:
-        raise CapExceededError(
-            f"knutson_index_char({table.label}): class count "
-            f"{len(table.classes)} exceeds cap {INDEX_MAX_CLASSES}"
-        )
+    check_index_cap(table.label, len(table.classes))
     n = min_multiplier(fusion_matrix(table, chi), list(table.degrees))
     if n is None:
         raise AssertionError("no multiple of rho_reg is attainable")
@@ -243,39 +247,3 @@ def min_rho_search(table: CharacterTable) -> tuple[VirtualCharacter, Fraction] |
             ):
                 return rho, Fraction(total, table.order)
     return None
-
-
-def verify_rho_pm_obstruction(q: int) -> bool:
-    """Confirm the rho+/- obstruction certifying K'(SL2(q)) = 1, odd q >= 5.
-
-    rho+ and rho- are the only degree-|G|/2 characters vanishing off the
-    center; for each of them, at least one member of the designated pair
-    (degree q-1 for q = 1 mod 4, degree q+1 otherwise) must fail to be
-    invertible -- otherwise the pair would manufacture a regular inverse.
-    """
-    par = Sl2Param.from_q(q)
-    if par.is_even or q < 5:
-        raise ValueError("the obstruction concerns odd q >= 5")
-    table = sl2_table(q)
-    fixed = set(center_fixed_indices(table))
-    rho_plus = VirtualCharacter(
-        table,
-        tuple(ir.degree if i in fixed else 0 for i, ir in enumerate(table.irreps)),
-    )
-    rho_minus = VirtualCharacter(
-        table,
-        tuple(0 if i in fixed else ir.degree for i, ir in enumerate(table.irreps)),
-    )
-    half = table.order // 2
-    zeros = (0,) * (len(table.classes) - 2)
-    for rho, at_z in ((rho_plus, half), (rho_minus, -half)):
-        if rho.values() != (half, at_z) + zeros:
-            raise AssertionError("rho+/- evaluation mismatch")
-    if q % 4 == 1:
-        pair = (table.irrep_index("theta1"), table.irrep_index("theta2"))
-    else:
-        pair = (table.irrep_index("chi1"), table.irrep_index("chi2"))
-    for rho in (rho_plus, rho_minus):
-        if all(is_rho_invertible(table, i, rho) is not None for i in pair):
-            return False
-    return True

@@ -17,8 +17,21 @@ with z = -id, c/d the two unipotent classes, a of order q-1 and b of
 order q+1; for even q there is no center and the order is
     1, c, a^1 .. a^((q-2)/2), b^1 .. b^(q/2).
 
-The rho-inverse bookkeeping lives here too: the published seven-row
-table of explicit inverses has its two columns both headed "q = 1 mod 4"
+The table is built from its centre, {1} for even q and {1, z} for odd
+q.  By Schur's lemma z acts on each irreducible chi as a scalar
+omega = chi(z) / chi(1), a sign, so chi(z^k g) = omega^k chi(g).  Each
+family is therefore one row spec: its degree, omega, its values on c
+and d, and its values on the a^l and b^m.  The central columns come
+from the degree and the zc, zd columns from the c, d values; nothing
+is written out twice.  The same specs serve even q, which has one
+unipotent class and no z.  Sl2Param.from_q is the one check of the
+caps: q <= ODD_CAP for odd q and q <= EVEN_CAP for even q.
+
+The rho machinery lives here too.  rho+ and rho-, the sums of
+chi(1)*chi over the irreducibles fixing and negating -id, are built
+once: rho = 2*rho+ is the theorem's character, and the pair carries the
+obstruction certifying K'(SL2(q)) = 1.  The published seven-row table
+of explicit inverses has its two columns both headed "q = 1 mod 4"
 (an evident misprint), so the column-to-residue assignment is resolved
 by exact verification rather than by trusting either header.  One row
 ("chi_i with i odd", second column) carries the coefficient (q-1)/3,
@@ -38,6 +51,7 @@ from .algnum import CyclotomicTau
 from .chartable import CharacterTable, ConjClass, Irrep
 from .charring import VirtualCharacter, fusion_matrix
 from .errors import CapExceededError
+from .knutsonlat import is_rho_invertible, mat_vec
 from .numtheory import factorize
 
 EVEN_CAP = 32
@@ -54,14 +68,21 @@ class Sl2Param:
 
     @classmethod
     def from_q(cls, q: int) -> "Sl2Param":
-        """Raises CapExceededError above every cap, before factorising q."""
-        cap = max(EVEN_CAP, ODD_CAP)
-        if q > cap:
-            raise CapExceededError(f"q = {q} exceeds the largest supported q, {cap}")
+        """The parameters of q, and the one check of the SL2 caps.
+
+        q above both caps raises CapExceededError before it is
+        factorised, a prime power above the cap of its parity after.
+        """
+        top = max(EVEN_CAP, ODD_CAP)
+        if q > top:
+            raise CapExceededError(f"q = {q} exceeds the largest supported q, {top}")
         fac = factorize(q)
         if len(fac) != 1:
             raise ValueError(f"q = {q} is not a prime power")
         p, f = fac[0]
+        cap = EVEN_CAP if p == 2 else ODD_CAP
+        if q > cap:
+            raise CapExceededError(f"q = {q} exceeds cap {cap}")
         return cls(q, p, f)
 
     @property
@@ -88,26 +109,14 @@ class Sl2Param:
     def order(self) -> int:
         return self.q * (self.q * self.q - 1)
 
-    @property
-    def default_cap(self) -> int:
-        """Largest q whose table is built."""
-        return EVEN_CAP if self.is_even else ODD_CAP
 
-
-def _zeta(par: Sl2Param, k: int) -> CyclotomicTau:
-    return CyclotomicTau.root_of_unity(par.m, k, par.tau_sq)
-
-
-def _alpha_pair(par: Sl2Param, k: int) -> CyclotomicTau:
-    """alpha^k + alpha^(-k) with alpha of order q - 1."""
-    s = (par.m // (par.q - 1)) * k
-    return _zeta(par, s) + _zeta(par, -s)
-
-
-def _beta_pair(par: Sl2Param, k: int) -> CyclotomicTau:
-    """beta^k + beta^(-k) with beta of order q + 1."""
-    s = (par.m // (par.q + 1)) * k
-    return _zeta(par, s) + _zeta(par, -s)
+def _pair(par: Sl2Param, n: int, k: int) -> CyclotomicTau:
+    """x^k + x^(-k) for x of order n: alpha for n = q - 1, beta for q + 1."""
+    m, s = par.m, (par.m // n) * k
+    return (
+        CyclotomicTau.root_of_unity(m, s, par.tau_sq)
+        + CyclotomicTau.root_of_unity(m, -s, par.tau_sq)
+    )
 
 
 def _half_tau(par: Sl2Param, a: int, b: int) -> CyclotomicTau:
@@ -117,121 +126,73 @@ def _half_tau(par: Sl2Param, a: int, b: int) -> CyclotomicTau:
     )
 
 
-def _sl2_odd(par: Sl2Param) -> CharacterTable:
-    q, eps = par.q, par.eps
-    na, nb = (q - 3) // 2, (q - 1) // 2
-    ells = range(1, na + 1)
-    ems = range(1, nb + 1)
+def _sl2(par: Sl2Param) -> CharacterTable:
+    """The generic table of SL2(q), one row spec per family.
 
-    classes = [
-        ConjClass("1", 1, ("1",)),
-        ConjClass("z", 1, ("z",)),
-        ConjClass("c", (q * q - 1) // 2, ("c",)),
-        ConjClass("d", (q * q - 1) // 2, ("d",)),
-        ConjClass("zc", (q * q - 1) // 2, ("zc",)),
-        ConjClass("zd", (q * q - 1) // 2, ("zd",)),
-    ]
-    classes += [ConjClass(f"a{l}", q * (q + 1), ("a", l)) for l in ells]
-    classes += [ConjClass(f"b{m}", q * (q - 1), ("b", m)) for m in ems]
-
-    irreps = [
-        Irrep("1", 1, tuple([1] * len(classes))),
-        Irrep(
-            "psi", q,
-            (q, q, 0, 0, 0, 0) + tuple(1 for _ in ells) + tuple(-1 for _ in ems),
-        ),
-    ]
-    for i in range(1, na + 1):
-        si = (-1) ** i
-        irreps.append(Irrep(
-            f"chi{i}", q + 1,
-            (q + 1, si * (q + 1), 1, 1, si, si)
-            + tuple(_alpha_pair(par, i * l) for l in ells)
-            + tuple(0 for _ in ems),
-        ))
-    for j in range(1, nb + 1):
-        sj = (-1) ** j
-        irreps.append(Irrep(
-            f"theta{j}", q - 1,
-            (q - 1, sj * (q - 1), -1, -1, -sj, -sj)
-            + tuple(0 for _ in ells)
-            + tuple(-_beta_pair(par, j * m) for m in ems),
-        ))
-    hpp, hpm = _half_tau(par, 1, 1), _half_tau(par, 1, -1)
-    hmp, hmm = _half_tau(par, -1, 1), _half_tau(par, -1, -1)
-    half_q1 = (q + 1) // 2
-    half_qm1 = (q - 1) // 2
-    irreps.append(Irrep(
-        "xi1", half_q1,
-        (half_q1, eps * half_q1, hpp, hpm, eps * hpp, eps * hpm)
-        + tuple((-1) ** l for l in ells) + tuple(0 for _ in ems),
-    ))
-    irreps.append(Irrep(
-        "xi2", half_q1,
-        (half_q1, eps * half_q1, hpm, hpp, eps * hpm, eps * hpp)
-        + tuple((-1) ** l for l in ells) + tuple(0 for _ in ems),
-    ))
-    irreps.append(Irrep(
-        "eta1", half_qm1,
-        (half_qm1, -eps * half_qm1, hmp, hmm, -eps * hmp, -eps * hmm)
-        + tuple(0 for _ in ells) + tuple((-1) ** (m + 1) for m in ems),
-    ))
-    irreps.append(Irrep(
-        "eta2", half_qm1,
-        (half_qm1, -eps * half_qm1, hmm, hmp, -eps * hmm, -eps * hmp)
-        + tuple(0 for _ in ells) + tuple((-1) ** (m + 1) for m in ems),
-    ))
-    return CharacterTable(f"SL2({q})", par.order, tuple(classes), tuple(irreps))
-
-
-def _sl2_even(par: Sl2Param) -> CharacterTable:
+    A spec is (label, degree, omega, values on c and d, values on the
+    a^l, values on the b^m).  Each irreducible is a scalar omega on the
+    centre, so its value at z^k g is omega^k times its value at g: that
+    gives the central columns from the degree and the zc, zd columns
+    from the c, d values.  Even q has no d and a trivial centre, and
+    only the first unipotent value of a spec is used.
+    """
     q = par.q
     na, nb = (q - 2) // 2, q // 2
-    ells = range(1, na + 1)
-    ems = range(1, nb + 1)
+    ells, ems = range(1, na + 1), range(1, nb + 1)
+    centre = ("1",) if par.is_even else ("1", "z")
+    unipotent = ("c",) if par.is_even else ("c", "d")
+    zu = [u if z == "1" else z + u for z in centre for u in unipotent]
 
-    classes = [ConjClass("1", 1, ("1",)), ConjClass("c", q * q - 1, ("c",))]
+    classes = [ConjClass(z, 1, (z,)) for z in centre]
+    classes += [ConjClass(u, (q * q - 1) // len(unipotent), (u,)) for u in zu]
     classes += [ConjClass(f"a{l}", q * (q + 1), ("a", l)) for l in ells]
     classes += [ConjClass(f"b{m}", q * (q - 1), ("b", m)) for m in ems]
 
-    irreps = [
-        Irrep("1", 1, tuple([1] * len(classes))),
-        Irrep(
-            "psi", q,
-            (q, 0) + tuple(1 for _ in ells) + tuple(-1 for _ in ems),
-        ),
+    specs = [
+        ("1", 1, 1, (1, 1), (1,) * na, (1,) * nb),
+        ("psi", q, 1, (0, 0), (1,) * na, (-1,) * nb),
     ]
-    for i in range(1, na + 1):
-        irreps.append(Irrep(
-            f"chi{i}", q + 1,
-            (q + 1, 1)
-            + tuple(_alpha_pair(par, i * l) for l in ells)
-            + tuple(0 for _ in ems),
-        ))
-    for j in range(1, nb + 1):
-        irreps.append(Irrep(
-            f"theta{j}", q - 1,
-            (q - 1, -1)
-            + tuple(0 for _ in ells)
-            + tuple(-_beta_pair(par, j * m) for m in ems),
-        ))
+    specs += [
+        (f"chi{i}", q + 1, (-1) ** i, (1, 1),
+         tuple(_pair(par, q - 1, i * l) for l in ells), (0,) * nb)
+        for i in ells
+    ]
+    specs += [
+        (f"theta{j}", q - 1, (-1) ** j, (-1, -1),
+         (0,) * na, tuple(-_pair(par, q + 1, j * m) for m in ems))
+        for j in ems
+    ]
+    if not par.is_even:
+        eps = par.eps
+        hpp, hpm = _half_tau(par, 1, 1), _half_tau(par, 1, -1)
+        hmp, hmm = _half_tau(par, -1, 1), _half_tau(par, -1, -1)
+        xi_a = tuple((-1) ** l for l in ells)
+        eta_b = tuple((-1) ** (m + 1) for m in ems)
+        specs += [
+            ("xi1", (q + 1) // 2, eps, (hpp, hpm), xi_a, (0,) * nb),
+            ("xi2", (q + 1) // 2, eps, (hpm, hpp), xi_a, (0,) * nb),
+            ("eta1", (q - 1) // 2, -eps, (hmp, hmm), (0,) * na, eta_b),
+            ("eta2", (q - 1) // 2, -eps, (hmm, hmp), (0,) * na, eta_b),
+        ]
+    powers = range(len(centre))
+    irreps = [
+        Irrep(
+            label, degree,
+            tuple(omega**k * degree for k in powers)
+            + tuple(omega**k * v for k in powers for v in uni[: len(unipotent)])
+            + on_ells + on_ems,
+        )
+        for label, degree, omega, uni, on_ells, on_ems in specs
+    ]
     return CharacterTable(f"SL2({q})", par.order, tuple(classes), tuple(irreps))
 
 
 @cache
-def _sl2_cached(q: int) -> CharacterTable:
-    par = Sl2Param.from_q(q)
-    table = _sl2_even(par) if par.is_even else _sl2_odd(par)
-    table.check_orthogonality()
-    return table
-
-
 def sl2_table(q: int) -> CharacterTable:
     """Exact character table of SL2(q); orthogonality-validated."""
-    cap = Sl2Param.from_q(q).default_cap
-    if q > cap:
-        raise CapExceededError(f"sl2_table({q}) exceeds cap {cap}")
-    return _sl2_cached(q)
+    table = _sl2(Sl2Param.from_q(q))
+    table.check_orthogonality()
+    return table
 
 
 def center_fixed_indices(table: CharacterTable) -> list[int]:
@@ -272,8 +233,9 @@ def _psl2_odd(sl2: CharacterTable) -> CharacterTable:
 
 
 @cache
-def _psl2_cached(q: int) -> CharacterTable:
-    sl2 = _sl2_cached(q)
+def psl2_table(q: int) -> CharacterTable:
+    """Exact character table of PSL2(q); equals SL2(q) for even q."""
+    sl2 = sl2_table(q)
     if q % 2 == 0:
         return CharacterTable(
             f"PSL2({q})", sl2.order, sl2.classes, sl2.irreps,
@@ -284,14 +246,6 @@ def _psl2_cached(q: int) -> CharacterTable:
     return table
 
 
-def psl2_table(q: int) -> CharacterTable:
-    """Exact character table of PSL2(q); equals SL2(q) for even q."""
-    cap = Sl2Param.from_q(q).default_cap
-    if q > cap:
-        raise CapExceededError(f"psl2_table({q}) exceeds cap {cap}")
-    return _psl2_cached(q)
-
-
 def lcm_degrees_sl2_expected(q: int) -> int:
     """Closed form for the lcm of the degrees of SL2(q), q >= 4."""
     if q < 4:
@@ -300,25 +254,61 @@ def lcm_degrees_sl2_expected(q: int) -> int:
     return base // 2 if q % 2 else base
 
 
-def rho_theorem_character(q: int) -> VirtualCharacter:
-    """rho = sum of 2*chi(1)*chi over the chi fixing -id, for odd q >= 5.
-
-    Evaluates to |G| at +/-id and 0 on every other class (asserted).
-    """
+def _odd_sl2_table(q: int, caller: str) -> CharacterTable:
+    """The SL2(q) table for odd q >= 5, where the rho machinery applies."""
     par = Sl2Param.from_q(q)
     if par.is_even or q < 5:
-        raise ValueError("rho_theorem_character requires odd q >= 5")
-    table = sl2_table(q)
+        raise ValueError(f"{caller} requires odd q >= 5")
+    return sl2_table(q)
+
+
+def _rho_pm(q: int, caller: str) -> tuple[VirtualCharacter, VirtualCharacter]:
+    """(rho+, rho-): the sums of chi(1)*chi over the chi fixing, and the
+    chi negating, -id, for odd q >= 5.
+
+    They are the only degree-|G|/2 characters vanishing off the centre:
+    rho+/- takes |G|/2 at id, +/-|G|/2 at -id and 0 elsewhere (asserted).
+    """
+    table = _odd_sl2_table(q, caller)
     fixed = set(center_fixed_indices(table))
-    mults = tuple(
-        2 * ir.degree if i in fixed else 0
-        for i, ir in enumerate(table.irreps)
+    pm = tuple(
+        VirtualCharacter(table, tuple(
+            ir.degree if (i in fixed) == plus else 0
+            for i, ir in enumerate(table.irreps)
+        ))
+        for plus in (True, False)
     )
-    rho = VirtualCharacter(table, mults)
-    want = (table.order,) * 2 + (0,) * (len(table.classes) - 2)
-    if rho.values() != want:
-        raise AssertionError(f"rho evaluation mismatch on {table.label}")
-    return rho
+    half = table.order // 2
+    zeros = (0,) * (len(table.classes) - 2)
+    want = ((half, half) + zeros, (half, -half) + zeros)
+    if tuple(rho.values() for rho in pm) != want:
+        raise AssertionError(f"rho+/- evaluation mismatch on {table.label}")
+    return pm
+
+
+def rho_theorem_character(q: int) -> VirtualCharacter:
+    """rho = rho+ + rho+, the sum of 2*chi(1)*chi over the chi fixing -id,
+    for odd q >= 5: |G| at +/-id and 0 on every other class."""
+    rho_plus, _ = _rho_pm(q, "rho_theorem_character")
+    return rho_plus + rho_plus
+
+
+def verify_rho_pm_obstruction(q: int) -> bool:
+    """Confirm the rho+/- obstruction certifying K'(SL2(q)) = 1, odd q >= 5.
+
+    For each of rho+ and rho-, at least one member of the designated
+    pair (degree q-1 for q = 1 mod 4, degree q+1 otherwise) must fail to
+    be invertible -- otherwise the pair would manufacture a regular
+    inverse.
+    """
+    pm = _rho_pm(q, "verify_rho_pm_obstruction")
+    table = pm[0].table
+    family = "theta" if q % 4 == 1 else "chi"
+    pair = [table.irrep_index(f"{family}{k}") for k in (1, 2)]
+    return not any(
+        all(is_rho_invertible(table, i, rho) is not None for i in pair)
+        for rho in pm
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +442,6 @@ def _coeffs_to_virtual(
     return VirtualCharacter(table, tuple(mults))
 
 
-def _apply_fusion(table: CharacterTable, a: int, lam: VirtualCharacter) -> tuple[int, ...]:
-    matrix = fusion_matrix(table, a)
-    return tuple(
-        sum(row[c] * lam.mults[c] for c in range(len(lam.mults)))
-        for row in matrix
-    )
-
-
 @dataclass
 class RhoRowReport:
     """Verification outcome of one printed row under one column."""
@@ -501,7 +483,7 @@ def _verify_row(
     verified = lam is not None or not targets
     if lam is not None:
         for label in targets:
-            got = _apply_fusion(table, table.irrep_index(label), lam)
+            got = mat_vec(fusion_matrix(table, table.irrep_index(label)), lam.mults)
             diff = tuple(g - r for g, r in zip(got, rho.mults))
             if any(diff):
                 verified = False
@@ -543,7 +525,8 @@ def _search_chi_odd_correction(
         if lam is None:
             continue
         if all(
-            _apply_fusion(table, table.irrep_index(label), lam) == rho.mults
+            mat_vec(fusion_matrix(table, table.irrep_index(label)), lam.mults)
+            == list(rho.mults)
             for label in targets
         ):
             return lam
@@ -559,10 +542,7 @@ def paper_rho_inverses(q: int) -> RhoInverseReport:
     exact discrepancy vectors, and the known suspect row additionally
     gets a bounded coefficient search for a verifying replacement.
     """
-    par = Sl2Param.from_q(q)
-    if par.is_even or q < 5:
-        raise ValueError("paper_rho_inverses requires odd q >= 5")
-    table = sl2_table(q)
+    table = _odd_sl2_table(q, "paper_rho_inverses")
     rho = rho_theorem_character(q)
     rows: dict[str, dict[str, RhoRowReport]] = {}
     for column in ("left", "right"):

@@ -15,7 +15,6 @@ from knutson.knutsonlat import (
     knutson_index_char,
     knutson_index_group,
     min_rho_search,
-    verify_rho_pm_obstruction,
 )
 from knutson.numtheory import is_loeschian, quadform_xxyy, sigma3
 from knutson.partitions import count_t_cores, exists_t_core
@@ -25,6 +24,7 @@ from knutson.sl2tables import (
     paper_rho_inverses,
     psl2_table,
     sl2_table,
+    verify_rho_pm_obstruction,
 )
 from knutson.symchar import an_table, sn_table
 

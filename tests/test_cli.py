@@ -103,6 +103,23 @@ def test_no_sympy_at_runtime():
     assert out.stdout.strip() == "False"
 
 
+def test_lattice_layer_does_not_load_sl2_tables():
+    # knutsonlat is group-agnostic: importing it (past the package
+    # __init__, which imports every module) pulls in no SL2 code
+    pkg = Path(cli.__file__).resolve().parent
+    code = (
+        "import sys, types; "
+        f"pkg = types.ModuleType('knutson'); pkg.__path__ = [{str(pkg)!r}]; "
+        "sys.modules['knutson'] = pkg; "
+        "import knutson.knutsonlat; "
+        "print('knutson.knutsonlat' in sys.modules, 'knutson.sl2tables' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["True", "False"]
+
+
 def test_cache_round_trip():
     table = sl2_table(7)
     assert cache_load("sl2-7") is None
@@ -398,6 +415,21 @@ def test_knutson_index_cap_exits_3(capsys):
         assert main(["knutson", "sn", "14", "--no-cache"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "exceeds cap" in captured.err
+
+
+@pytest.mark.parametrize("kind, n", [("sn", 22), ("an", 16)])
+def test_knutson_index_cap_before_the_table_is_built(capsys, kind, n):
+    # the class count comes from n, so the table (S22 took 14.5 s) is
+    # never built
+    start = time.perf_counter()
+    with _time_limit(10):
+        assert main(["knutson", kind, str(n), "--no-cache"]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "exceeds cap" in lines[0]
 
 
 def test_knutson_single_char_at_the_index_cap(capsys):

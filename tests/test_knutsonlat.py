@@ -12,19 +12,18 @@ from knutson.errors import CapExceededError
 from knutson.knutsonlat import (
     INDEX_MAX_CLASSES,
     RHO_SEARCH_MAX_ORDER,
-    _mat_vec,
     generalized_lower_bound,
     hermite_basis,
     is_rho_invertible,
     knutson_index_char,
     knutson_index_group,
+    mat_vec,
     min_multiplier,
     min_rho_search,
     solve_integer,
-    verify_rho_pm_obstruction,
     zero_column_criterion,
 )
-from knutson.sl2tables import psl2_table, sl2_table
+from knutson.sl2tables import psl2_table, sl2_table, verify_rho_pm_obstruction
 from knutson.symchar import an_table, sn_table
 
 
@@ -33,7 +32,7 @@ def _brute_solvable(m, b, bound):
 
     def rec(j, acc):
         if j == cols:
-            return _mat_vec(m, acc) == list(b)
+            return mat_vec(m, acc) == list(b)
         return any(rec(j + 1, acc + [x]) for x in range(-bound, bound + 1))
 
     return rec(0, [])
@@ -47,7 +46,7 @@ def test_solve_integer_against_brute_force():
         b = [rng.randint(-4, 4) for _ in range(rows)]
         x = solve_integer(m, b)
         if x is not None:
-            assert _mat_vec(m, x) == b  # also re-verified internally
+            assert mat_vec(m, x) == b  # also re-verified internally
         else:
             assert not _brute_solvable(m, b, 6)
 
@@ -98,7 +97,7 @@ def test_lattice_engine_against_oracles():
         rows, cols = len(m), len(m[0])
         if rng.random() < 0.4:  # a vector of the column lattice
             x = [rng.randint(-3, 3) for _ in range(cols)]
-            v = _mat_vec(m, x)
+            v = mat_vec(m, x)
         else:
             v = [rng.randint(-9, 9) for _ in range(rows)]
         assert min_multiplier(m, v) == min_multiplier_sympy(m, v), (m, v)
@@ -129,7 +128,7 @@ def test_hermite_basis_shape():
     for i, (p, h, t) in enumerate(basis):
         assert all(x == 0 for x in h[:p]) and h[p] > 0
         assert all(0 <= g[p] < h[p] for _, g, _ in basis[:i])
-        assert _mat_vec(m, t) == h
+        assert mat_vec(m, t) == h
     # |det| = 2 * 2 * 156 is the product of the pivots
     assert basis[0][1][0] * basis[1][1][1] * basis[2][1][2] == 624
     assert hermite_basis([[0, 0], [0, 0]]) == []

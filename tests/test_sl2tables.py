@@ -21,6 +21,7 @@ from knutson.sl2tables import (
 from knutson.symchar import an_table, sn_table
 
 from oracles import with_entry
+from sl2_entries import SL2_CLASSES, SL2_ENTRIES
 
 ODD_QS = (5, 7, 9, 11, 13)
 EVEN_QS = (2, 4, 8)
@@ -50,6 +51,26 @@ def test_param_caps_q_before_factorising():
         with pytest.raises(CapExceededError, match="largest supported q"):
             Sl2Param.from_q(q)
     assert Sl2Param.from_q(max(EVEN_CAP, ODD_CAP)).f == 5
+
+
+def test_param_caps_by_parity():
+    # odd q above ODD_CAP is refused after factorising; even q up to
+    # EVEN_CAP still parses
+    for q in (17, 27):
+        with pytest.raises(CapExceededError, match=f"q = {q} exceeds cap {ODD_CAP}"):
+            Sl2Param.from_q(q)
+    assert Sl2Param.from_q(16).f == 4
+    assert Sl2Param.from_q(32).f == 5
+
+
+@pytest.mark.parametrize("q", sorted(SL2_ENTRIES))
+def test_sl2_entries_pinned(q):
+    table = sl2_table(q)
+    assert [(c.label, c.size, c.data) for c in table.classes] == list(SL2_CLASSES[q])
+    assert {
+        ir.label: tuple(str(v) for v in ir.values) for ir in table.irreps
+    } == SL2_ENTRIES[q]
+    assert list(SL2_ENTRIES[q]) == [ir.label for ir in table.irreps]
 
 
 @pytest.mark.parametrize("q", ODD_QS)
