@@ -192,35 +192,29 @@ class MultiQuadratic:
 
 @cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, low degree first."""
+    """Integer coefficients of Phi_m, low degree first: the product of
+    (x^d - 1)^mu(m/d) over d | m, the factors with mu = +1 multiplied in
+    before each with mu = -1 divides the product exactly."""
     if m < 1:
         raise ValueError("m must be positive")
-    # x^m - 1 divided by Phi_d for every proper divisor d.
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _exact_poly_div(poly, list(cyclotomic_polynomial(d)))
+    moebius = [(1, 1)]  # (squarefree s | m, mu(s)), so d = m / s
+    for p, _ in factorize(m):
+        moebius += [(s * p, -mu) for s, mu in moebius]
+    poly = [1]
+    for s, mu in sorted(moebius, key=lambda sm: -sm[1]):
+        d = m // s
+        if mu == 1:  # times x^d - 1
+            poly = [0] * d + poly
+            for i in range(len(poly) - d):
+                poly[i] -= poly[i + d]
+        else:  # over x^d - 1, from the top down
+            quo = poly[d:]
+            for i in range(len(quo) - d - 1, -1, -1):
+                quo[i] += quo[i + d]
+            if any(poly[i] + (quo[i] if i < len(quo) else 0) for i in range(d)):
+                raise ArithmeticError("polynomial division not exact")
+            poly = quo
     return tuple(poly)
-
-
-def _exact_poly_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (low degree first)."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        q, r = divmod(c, den[dd])
-        if r:
-            raise ArithmeticError("polynomial division not exact")
-        out[k - dd] = q
-        for i, dc in enumerate(den):
-            num[k - dd + i] -= q * dc
-    if any(num):
-        raise ArithmeticError("polynomial division not exact")
-    return out
 
 
 @cache
@@ -262,6 +256,17 @@ def _reduce(m: int, comp: dict[int, Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(out), den
 
 
+def _component(m: int, comp: dict) -> dict:
+    """comp with exponents mod m, congruent terms summed, zeros dropped.
+    Exponents in [0, m), as sums and products give, skip the summing."""
+    if comp and (min(comp) < 0 or max(comp) >= m):
+        out: dict = {}
+        for e, c in comp.items():
+            out[e % m] = out.get(e % m, 0) + c
+        comp = out
+    return {e: c for e, c in comp.items() if c}
+
+
 class CyclotomicTau:
     """a + b*tau with a, b in Q(zeta_m) and tau^2 = tau_sq (an integer).
 
@@ -275,8 +280,8 @@ class CyclotomicTau:
     def __init__(self, m: int, tau_sq: int, base=None, tau=None):
         self.m = m
         self.tau_sq = tau_sq
-        self.base = {e % m: c for e, c in (base or {}).items() if c != 0}
-        self.tau = {e % m: c for e, c in (tau or {}).items() if c != 0}
+        self.base = _component(m, base or {})
+        self.tau = _component(m, tau or {})
         if tau_sq == 0 and self.tau:
             raise ValueError("tau component without a tau^2 relation")
 

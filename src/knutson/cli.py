@@ -10,7 +10,8 @@ rationals as {"rat": [num, den]}, quadratic-irrational combinations as
 as {"cyc": {"order": m, "eq": tau^2, "base": [[e, num, den], ...],
 "tau": [...]}}.  Character tables are cached on disk under
 KNUTSON_CACHE_DIR (default ~/.cache/knutson) with a checksum, written
-atomically via temp-file rename.
+atomically via temp-file rename; a cache that cannot be written is a
+warning on stderr, not a failure.
 """
 
 from __future__ import annotations
@@ -222,7 +223,10 @@ def get_table(kind: str, param: int, use_cache: bool = True) -> CharacterTable:
             return cached
     table = builders[kind](param)
     if use_cache:
-        cache_store(key, table)
+        try:
+            cache_store(key, table)
+        except OSError as exc:
+            print(f"warning: table not cached: {exc}", file=sys.stderr)
     return table
 
 
@@ -353,7 +357,7 @@ def cmd_knutson(args) -> int:
                 },
                 "corrected": row.correction is not None,
             }
-            if row.targets and not row.verified and row.correction is None:
+            if not row.accepted:
                 exit_code = 4
         report["rho_inverse_table"] = {
             "column": rho_report.column,
@@ -438,8 +442,7 @@ def _suite_sl2_rho(q: int) -> list[dict]:
         "detail": report.column,
     }]
     for name, row in report.selected_rows().items():
-        ok = row.verified or row.correction is not None or not row.targets
-        checks.append({"name": f"row {name}", "pass": ok})
+        checks.append({"name": f"row {name}", "pass": row.accepted})
     return checks
 
 

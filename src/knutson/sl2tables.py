@@ -38,6 +38,16 @@ by exact verification rather than by trusting either header.  One row
 which is not even an integer for most q; that row is reported with its
 exact discrepancy, and a small coefficient search looks for a verifying
 replacement, reported beside it.  Nothing is corrected silently.
+
+The printed table is the one literal _PRINTED: row name -> (left
+column, right column), each column a tuple of terms (name, a, b, d)
+meaning (a*q + b)/d times every member of the family `name` or times
+the one irreducible of that name.  The families are eta = {eta1, eta2},
+xi = {xi1, xi2}, psi = {psi} and the chi_i and theta_j split by the
+parity of the index; a row inverts the members of its namesake family.
+The suspect term is _SUSPECT, and the search keeps the rest of its row.
+Row verification and the search share one check, _discrepancies, of
+chi (x) lam - rho.
 """
 
 from __future__ import annotations
@@ -314,132 +324,89 @@ def verify_rho_pm_obstruction(q: int) -> bool:
 # ---------------------------------------------------------------------------
 # the published seven-row table of explicit rho-inverses
 
-_ROW_NAMES = (
-    "eta", "xi", "theta_odd", "theta_even", "psi", "chi_odd", "chi_even",
-)
+# The (q-1)/3 chi_1 term of the right-hand chi_odd row.
+_SUSPECT = ("chi1", 1, -1, 3)
+
+# Row name -> (left column, right column), rows in the printed order;
+# a term (name, a, b, d) is (a*q + b)/d times family or irreducible name.
+_PRINTED = {
+    "eta": (
+        (("eta", 0, 2, 1), ("theta_odd", 0, 4, 1), ("chi1", 1, 1, 1)),
+        (("1", 1, -1, 1), ("eta", 0, 2, 1), ("theta_even", 0, 4, 1), ("psi", 1, 3, 1)),
+    ),
+    "xi": (
+        (("1", 0, 4, 1), ("xi", 0, 2, 1), ("theta2", 1, 1, 1), ("chi_even", 0, 4, 1)),
+        (("xi", 0, 2, 1), ("theta1", 1, -1, 1), ("chi_odd", 0, 4, 1)),
+    ),
+    "theta_odd": (
+        (("eta", 0, 1, 1), ("theta_odd", 0, 2, 1), ("chi1", 1, 1, 2)),
+        (("xi", 1, 1, 2), ("theta_odd", 0, 2, 1)),
+    ),
+    "theta_even": (
+        (("1", 0, -2, 1), ("xi", 1, 3, 2), ("theta_even", 0, 2, 1)),
+        (("1", 1, -1, 2), ("eta", 0, 1, 1), ("theta_even", 0, 2, 1), ("psi", 1, 3, 2)),
+    ),
+    "psi": (
+        (("1", 0, -2, 1), ("theta_even", 0, 4, 1), ("psi", 0, 2, 1)),
+        (("1", 0, -2, 1), ("eta", 0, 2, 1), ("theta_even", 0, 4, 1), ("psi", 0, 2, 1)),
+    ),
+    "chi_odd": (
+        (("eta", 1, -1, 2), ("chi_odd", 0, 2, 1)),
+        (("xi", 0, 1, 1), _SUSPECT, ("chi_odd", 0, 2, 1)),
+    ),
+    "chi_even": (
+        (("1", 0, 2, 1), ("xi", 0, 1, 1), ("theta2", 1, 1, 2), ("chi_even", 0, 2, 1)),
+        (("1", 0, 2, 1), ("eta", 1, 1, 2), ("chi_even", 0, 2, 1)),
+    ),
+}
 
 
-def _family_labels(q: int) -> dict[str, list[str]]:
+def _families(q: int) -> dict[str, list[str]]:
+    """Family name -> its members; a row's targets are its namesake family."""
     chi = [f"chi{i}" for i in range(1, (q - 3) // 2 + 1)]
     theta = [f"theta{j}" for j in range(1, (q - 1) // 2 + 1)]
     return {
-        "chi_odd": chi[0::2],
-        "chi_even": chi[1::2],
-        "theta_odd": theta[0::2],
-        "theta_even": theta[1::2],
+        "eta": ["eta1", "eta2"], "xi": ["xi1", "xi2"], "psi": ["psi"],
+        "theta_odd": theta[0::2], "theta_even": theta[1::2],
+        "chi_odd": chi[0::2], "chi_even": chi[1::2],
     }
 
 
-def _row_targets(name: str, q: int) -> list[str]:
-    fam = _family_labels(q)
-    return {
-        "eta": ["eta1", "eta2"],
-        "xi": ["xi1", "xi2"],
-        "theta_odd": fam["theta_odd"],
-        "theta_even": fam["theta_even"],
-        "psi": ["psi"],
-        "chi_odd": fam["chi_odd"],
-        "chi_even": fam["chi_even"],
-    }[name]
-
-
-def _row_coefficients(name: str, column: str, q: int) -> dict[str, Fraction]:
-    """Raw coefficients of one printed row, keyed by irreducible label.
-
-    column is "left" or "right" as printed (both headers claim
-    q = 1 mod 4; the real assignment is decided by verification).
-    """
-    fam = _family_labels(q)
+def _coefficients(terms, q: int) -> dict[str, Fraction]:
+    """The coefficients of printed terms at q, summed per irreducible: the
+    right-hand chi_odd row names chi1 alone and inside the chi_odd family."""
+    fam = _families(q)
     out: dict[str, Fraction] = {}
-
-    def add(label: str, coeff) -> None:
-        out[label] = out.get(label, Fraction(0)) + Fraction(coeff)
-
-    def add_family(key: str, coeff) -> None:
-        for label in fam[key]:
-            add(label, coeff)
-
-    if name == "eta":
-        if column == "left":
-            add("eta1", 2), add("eta2", 2)
-            add_family("theta_odd", 4)
-            add("chi1", q + 1)
-        else:
-            add("1", q - 1)
-            add("eta1", 2), add("eta2", 2)
-            add_family("theta_even", 4)
-            add("psi", q + 3)
-    elif name == "xi":
-        if column == "left":
-            add("1", 4)
-            add("xi1", 2), add("xi2", 2)
-            add("theta2", q + 1)
-            add_family("chi_even", 4)
-        else:
-            add("xi1", 2), add("xi2", 2)
-            add("theta1", q - 1)
-            add_family("chi_odd", 4)
-    elif name == "theta_odd":
-        if column == "left":
-            add("eta1", 1), add("eta2", 1)
-            add_family("theta_odd", 2)
-            add("chi1", Fraction(q + 1, 2))
-        else:
-            add("xi1", Fraction(q + 1, 2)), add("xi2", Fraction(q + 1, 2))
-            add_family("theta_odd", 2)
-    elif name == "theta_even":
-        if column == "left":
-            add("1", -2)
-            add("xi1", Fraction(q + 3, 2)), add("xi2", Fraction(q + 3, 2))
-            add_family("theta_even", 2)
-        else:
-            add("1", Fraction(q - 1, 2))
-            add("eta1", 1), add("eta2", 1)
-            add_family("theta_even", 2)
-            add("psi", Fraction(q + 3, 2))
-    elif name == "psi":
-        add("1", -2)
-        if column == "right":
-            add("eta1", 2), add("eta2", 2)
-        add_family("theta_even", 4)
-        add("psi", 2)
-    elif name == "chi_odd":
-        if column == "left":
-            add("eta1", Fraction(q - 1, 2)), add("eta2", Fraction(q - 1, 2))
-            add_family("chi_odd", 2)
-        else:
-            add("xi1", 1), add("xi2", 1)
-            add("chi1", Fraction(q - 1, 3))
-            add_family("chi_odd", 2)
-    elif name == "chi_even":
-        if column == "left":
-            add("1", 2)
-            add("xi1", 1), add("xi2", 1)
-            add("theta2", Fraction(q + 1, 2))
-            add_family("chi_even", 2)
-        else:
-            add("1", 2)
-            add("eta1", Fraction(q + 1, 2)), add("eta2", Fraction(q + 1, 2))
-            add_family("chi_even", 2)
-    else:
-        raise KeyError(name)
+    for name, a, b, d in terms:
+        for label in fam.get(name, (name,)):
+            out[label] = out.get(label, 0) + Fraction(a * q + b, d)
     return out
 
 
 def _coeffs_to_virtual(
     table: CharacterTable, coeffs: dict[str, Fraction]
 ) -> VirtualCharacter | None:
-    """Build the virtual character, or None when a coefficient is not an
-    integer (or names a character the table does not have)."""
+    """The virtual character, or None when a coefficient is not an integer."""
     mults = [0] * len(table.irreps)
     for label, c in coeffs.items():
         if c.denominator != 1:
             return None
-        try:
-            mults[table.irrep_index(label)] = c.numerator
-        except KeyError:
-            return None
+        mults[table.irrep_index(label)] = c.numerator
     return VirtualCharacter(table, tuple(mults))
+
+
+def _discrepancies(
+    table: CharacterTable, rho: VirtualCharacter, targets, lam: VirtualCharacter
+) -> dict[str, tuple[int, ...]]:
+    """label -> chi (x) lam - rho, in multiplicities, for each target chi
+    that lam does not invert; empty when lam inverts them all."""
+    out: dict[str, tuple[int, ...]] = {}
+    for label in targets:
+        got = mat_vec(fusion_matrix(table, table.irrep_index(label)), lam.mults)
+        diff = tuple(g - r for g, r in zip(got, rho.mults))
+        if any(diff):
+            out[label] = diff
+    return out
 
 
 @dataclass
@@ -453,6 +420,11 @@ class RhoRowReport:
     verified: bool
     discrepancies: dict[str, tuple[int, ...]]
     correction: VirtualCharacter | None = None
+
+    @property
+    def accepted(self) -> bool:
+        """The row verifies, or a verifying replacement was found."""
+        return self.verified or self.correction is not None
 
 
 @dataclass
@@ -468,29 +440,16 @@ class RhoInverseReport:
 
 
 def _verify_row(
-    table: CharacterTable,
-    rho: VirtualCharacter,
-    name: str,
-    column: str,
-    q: int,
+    table: CharacterTable, rho: VirtualCharacter, name: str, terms, q: int
 ) -> RhoRowReport:
-    targets = _row_targets(name, q)
-    coeffs = _row_coefficients(name, column, q)
+    targets = _families(q)[name]
+    coeffs = _coefficients(terms, q)
     lam = _coeffs_to_virtual(table, coeffs)
-    discrepancies: dict[str, tuple[int, ...]] = {}
+    discrepancies = {} if lam is None else _discrepancies(table, rho, targets, lam)
     # A row with no targets at this q (e.g. no even chi indices when
     # (q-3)/2 < 2) is vacuously fine.
-    verified = lam is not None or not targets
-    if lam is not None:
-        for label in targets:
-            got = mat_vec(fusion_matrix(table, table.irrep_index(label)), lam.mults)
-            diff = tuple(g - r for g, r in zip(got, rho.mults))
-            if any(diff):
-                verified = False
-                discrepancies[label] = diff
-    return RhoRowReport(
-        name, tuple(targets), coeffs, lam, verified, discrepancies
-    )
+    verified = not targets or (lam is not None and not discrepancies)
+    return RhoRowReport(name, tuple(targets), coeffs, lam, verified, discrepancies)
 
 
 def _search_chi_odd_correction(
@@ -498,17 +457,12 @@ def _search_chi_odd_correction(
 ) -> VirtualCharacter | None:
     """Replace the suspect (q-1)/3 chi_1 term by c * (single irreducible).
 
-    The rest of the printed row is kept; the degree identity
+    The rest of the printed right-hand row is kept; the degree identity
     deg(lam) = |G| / (q+1) pins c once the replacement character is
     chosen, so the search is one exact verification per irreducible.
     """
-    fam = _family_labels(q)
-    targets = fam["chi_odd"]
-    if not targets:
-        return None
-    base = {"xi1": Fraction(1), "xi2": Fraction(1)}
-    for label in targets:
-        base[label] = Fraction(2)
+    targets = _families(q)["chi_odd"]
+    base = _coefficients([t for t in _PRINTED["chi_odd"][1] if t != _SUSPECT], q)
     base_deg = sum(
         c * table.irreps[table.irrep_index(label)].degree
         for label, c in base.items()
@@ -520,15 +474,9 @@ def _search_chi_odd_correction(
         if r:
             continue
         coeffs = dict(base)
-        coeffs[ir.label] = coeffs.get(ir.label, Fraction(0)) + c
+        coeffs[ir.label] = coeffs.get(ir.label, 0) + c
         lam = _coeffs_to_virtual(table, coeffs)
-        if lam is None:
-            continue
-        if all(
-            mat_vec(fusion_matrix(table, table.irrep_index(label)), lam.mults)
-            == list(rho.mults)
-            for label in targets
-        ):
+        if not _discrepancies(table, rho, targets, lam):
             return lam
     return None
 
@@ -544,18 +492,19 @@ def paper_rho_inverses(q: int) -> RhoInverseReport:
     """
     table = _odd_sl2_table(q, "paper_rho_inverses")
     rho = rho_theorem_character(q)
-    rows: dict[str, dict[str, RhoRowReport]] = {}
-    for column in ("left", "right"):
-        rows[column] = {
-            name: _verify_row(table, rho, name, column, q)
-            for name in _ROW_NAMES
+    rows = {
+        column: {
+            name: _verify_row(table, rho, name, columns[i], q)
+            for name, columns in _PRINTED.items()
         }
+        for i, column in enumerate(("left", "right"))
+    }
     score = {
         col: sum(1 for r in rows[col].values() if r.verified)
         for col in rows
     }
     column = max(score, key=lambda col: score[col])
-    for row in rows[column].values():
-        if row.targets and not row.verified and row.name == "chi_odd":
-            row.correction = _search_chi_odd_correction(table, rho, q)
+    suspect = rows[column]["chi_odd"]
+    if not suspect.verified:
+        suspect.correction = _search_chi_odd_correction(table, rho, q)
     return RhoInverseReport(q, column, rows)

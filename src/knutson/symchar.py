@@ -29,7 +29,6 @@ from .partitions import (
 )
 
 DEFAULT_CAP = 22
-NONVANISHING_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,6 @@ class CycleType:
 
     def splits_in_alternating(self) -> bool:
         return all(p % 2 for p in self.parts) and len(set(self.parts)) == len(self.parts)
-
-    def nonfixed(self) -> Partition:
-        return tuple(p for p in self.parts if p > 1)
 
     def label(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")" if self.parts else "()"
@@ -242,32 +238,3 @@ def class_has_zero(n: int, mu: Partition) -> bool:
     """
     return any(mn_value(lam, mu) == 0 for lam in _shapes_by_degree(n))
 
-
-def nonvanishing_classes_sn(n: int) -> list[CycleType]:
-    """Classes of S_n on which no irreducible character vanishes.
-
-    For n >= 3 the result is checked against the structural constraint
-    that the non-fixed-point part of each class has shape (3^a, 2^b)
-    with b even; a violation raises.  The full observed shapes (which
-    may carry fixed points) are what is returned.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > NONVANISHING_CAP:
-        raise CapExceededError(
-            f"nonvanishing_classes_sn({n}) exceeds cap {NONVANISHING_CAP}"
-        )
-    out = []
-    for ct in cycle_types(n):
-        if not class_has_zero(n, ct.parts):
-            out.append(ct)
-    if n >= 3:
-        for ct in out:
-            nf = ct.nonfixed()
-            b = sum(1 for p in nf if p == 2)
-            if any(p not in (2, 3) for p in nf) or b % 2:
-                raise AssertionError(
-                    f"non-vanishing class {ct.parts} of S_{n} violates the "
-                    "(3^a, 2^b), b even shape constraint"
-                )
-    return out

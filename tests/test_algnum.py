@@ -78,6 +78,24 @@ def test_cyclotomic_polynomial_known():
     assert len(cyclotomic_polynomial(105)) - 1 == 48
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    # x^m - 1 is the product of Phi_d over the divisors d of m
+    for m in range(1, 301):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = _poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+
+
 @st.composite
 def cyclo_values(draw, m=12, tau_sq=-3):
     base = draw(st.dictionaries(st.integers(0, m - 1), fractions, max_size=3))
@@ -109,6 +127,18 @@ def test_cyclotomic_tau_square():
     # conjugation negates tau exactly when tau^2 < 0 (tau imaginary)
     assert y.conjugate() == -y
     assert x.conjugate() == x
+
+
+def test_cyclotomic_tau_sums_congruent_exponents():
+    # exponents are read mod m: terms at 0 and 4 in Q(zeta_4) add up
+    two = CyclotomicTau(4, 0, {0: 1, 4: 1})
+    assert two == 2 and two.base == {0: 2} and repr(two) == "2*z4^0"
+    assert hash(two) == hash(2)
+    zero = CyclotomicTau(4, 0, {0: 1, 4: -1})
+    assert not zero and zero == 0 and repr(zero) == "0"
+    assert CyclotomicTau(4, -3, None, {-1: 1, 3: Fraction(1, 2)}).tau == {
+        3: Fraction(3, 2)
+    }
 
 
 def test_root_of_unity_relations():

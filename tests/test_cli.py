@@ -90,6 +90,16 @@ def test_value_from_json_reduces_radicands():
     assert value_from_json(value_to_json(root4)) == 2
 
 
+def test_value_from_json_sums_congruent_exponents():
+    # a record listing exponents 0 and 4 in Q(zeta_4) holds 1 + 1 = 2
+    record = {"cyc": {"order": 4, "eq": 0, "base": [[0, 1, 1], [4, 1, 1]], "tau": []}}
+    two = value_from_json(record)
+    assert two == 2 and hash(two) == hash(2)
+    assert value_to_json(two) == {
+        "cyc": {"order": 4, "eq": 0, "base": [[0, 2, 1]], "tau": []}
+    }
+
+
 def test_no_sympy_at_runtime():
     code = "import sys, knutson.cli; print('sympy' in sys.modules)"
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -138,6 +148,31 @@ def test_cache_rejects_corruption(tmp_path, monkeypatch):
     entry["table"]["order"] = 25
     path.write_text(json.dumps(entry))
     assert cache_load("sn-4") is None  # checksum mismatch
+
+
+def test_unusable_cache_dir_is_a_warning(tmp_path):
+    # a regular file where the cache directory should be: the table is
+    # still printed and the command exits 0, with one warning line
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+        "KNUTSON_CACHE_DIR": str(blocker),
+    }
+
+    def run(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "knutson.cli", "table", "sn", "4", *extra],
+            capture_output=True, text=True, env=env,
+        )
+
+    cached, uncached = run(), run("--no-cache")
+    assert cached.returncode == 0 and uncached.returncode == 0
+    assert cached.stdout == uncached.stdout
+    assert cached.stderr.startswith("warning: ")
+    assert len(cached.stderr.splitlines()) == 1
+    assert "Traceback" not in cached.stderr
 
 
 def test_get_table_uses_cache():

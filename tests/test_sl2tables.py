@@ -22,6 +22,7 @@ from knutson.symchar import an_table, sn_table
 
 from oracles import with_entry
 from sl2_entries import SL2_CLASSES, SL2_ENTRIES
+from sl2_rho_rows import RHO_ROWS
 
 ODD_QS = (5, 7, 9, 11, 13)
 EVEN_QS = (2, 4, 8)
@@ -252,3 +253,34 @@ def test_rho_inverse_coefficient_fractions_detected():
                 if coeff.denominator != 1:
                     assert row.lam is None
                     assert isinstance(coeff, Fraction)
+
+
+@pytest.mark.parametrize("q", sorted(RHO_ROWS))
+def test_printed_rows_pinned(q):
+    # every row under both columns, the rejected one included: targets,
+    # coefficients, and the order of rows and of coefficients
+    report = paper_rho_inverses(q)
+    for column in ("left", "right"):
+        got = [
+            (name, row.targets, [(k, str(c)) for k, c in row.coefficients.items()])
+            for name, row in report.rows[column].items()
+        ]
+        want = [
+            (name, targets, list(coeffs.items()))
+            for name, (targets, coeffs) in RHO_ROWS[q][column].items()
+        ]
+        assert got == want, column
+
+
+def test_accepted_is_the_negated_exit_4_condition():
+    # the CLI exits 4 on a row with targets that neither verifies nor
+    # was corrected; accepted is exactly its negation, on every row
+    kinds = set()
+    for q in ODD_QS:
+        for rows in paper_rho_inverses(q).rows.values():
+            for row in rows.values():
+                exit_4 = bool(row.targets) and not row.verified and row.correction is None
+                assert row.accepted == (not exit_4)
+                kinds.add((row.verified, row.correction is not None))
+    # verified rows, corrected rows and rejected rows all occur
+    assert kinds == {(True, False), (False, True), (False, False)}

@@ -15,7 +15,6 @@ from knutson.symchar import (
     class_has_zero,
     cycle_types,
     mn_value,
-    nonvanishing_classes_sn,
     rim_hook_removals,
     sn_table,
 )
@@ -180,9 +179,17 @@ def test_class_has_zero_matches_direct_scan():
 
 
 def test_nonvanishing_classes_small():
-    # in S_4 exactly the identity and the (2,2) class have no zero in
-    # their column; both satisfy the (3^a, 2^b)-with-b-even constraint
-    got = [ct.parts for ct in nonvanishing_classes_sn(4)]
+    # for n >= 3 a class of S_n with no zero in its column has non-fixed
+    # part (3^a, 2^b) with b even (in S_2 the transposition has none);
+    # in S_4 those classes are exactly the identity and (2,2)
+    for n in range(3, 11):
+        for mu in partitions(n):
+            if class_has_zero(n, mu):
+                continue
+            nonfixed = [p for p in mu if p > 1]
+            assert set(nonfixed) <= {2, 3}, mu
+            assert nonfixed.count(2) % 2 == 0, mu
+    got = [mu for mu in partitions(4) if not class_has_zero(4, mu)]
     assert sorted(got) == [(1, 1, 1, 1), (2, 2)]
 
 
