@@ -176,7 +176,12 @@ def cache_load(key: str) -> CharacterTable | None:
         if entry.get("checksum") != _checksum(entry["table"]):
             return None
         return table_from_json(entry["table"])
-    except (OSError, ValueError, KeyError):
+    except (
+        OSError, ValueError, LookupError, TypeError, AttributeError,
+        ArithmeticError, TableError,
+    ):
+        # An entry that cannot be read or decoded into a valid table,
+        # checksummed or not, is a miss: the table is built again.
         return None
 
 

@@ -1,13 +1,30 @@
 """Character tables of S_n and A_n.
 
-S_n values come from the rim-hook (Murnaghan-Nakayama) recursion over
-beta-sets, memoized globally on (remaining shape, remaining cycles) with
-the largest cycle stripped first.  A_n is built by restriction: a
-non-self-conjugate pair of S_n characters restricts to one irreducible,
-a self-conjugate shape splits into two characters that differ only on
-the split classes whose cycle type equals its principal hook lengths,
-where the two values are (e +/- sqrt(e * prod hooks)) / 2 with
-e = (-1)^((n - r) / 2) for r principal hooks.
+Whole tables come from a forward Murnaghan-Nakayama sweep on the
+1-runner abacus (James & Kerber 1981).  A shape lam of n is an n-bead
+bitmask with bead i at position lam_i + n - 1 - i, so the empty shape
+is (1 << n) - 1.  Adding a rim t-hook moves one bead from b to an empty
+position b + t, with sign (-1)^(number of beads strictly between b and
+b + t).  The rule holds for the cycle lengths taken in any order, so
+each cycle type mu is swept from the empty shape adding hooks of its
+parts smallest first, keeping a dict from mask to nonzero value; after
+the last part the dict is the whole column of mu.  The cycle types are
+walked as a trie, depth first, so those that share their small parts
+share the dicts of that prefix, and one sweep per table build fills
+every column.
+
+mn_value evaluates a single chi_lam(mu) by the backward recursion over
+beta-sets, memoized globally on (remaining shape, remaining cycles)
+with the largest cycle stripped first.  It serves the column scans and
+certificate re-checks of the sequences, which touch few values of many
+classes: there a whole-column sweep per class would cost far more.
+
+A_n is built by restriction: a non-self-conjugate pair of S_n
+characters restricts to one irreducible, a self-conjugate shape splits
+into two characters that differ only on the split classes whose cycle
+type equals its principal hook lengths, where the two values are
+(e +/- sqrt(e * prod hooks)) / 2 with e = (-1)^((n - r) / 2) for r
+principal hooks.
 """
 
 from __future__ import annotations
@@ -115,6 +132,59 @@ def mn_value(lam: Partition, mu: Partition) -> int:
     return total
 
 
+def _shape_mask(lam: Partition, n: int) -> int:
+    """lam as n beads on one runner: bead i at lam_i + n - 1 - i."""
+    mask = (1 << (n - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + n - 1 - i)
+    return mask
+
+
+def _add_hooks(column: dict[int, int], t: int) -> dict[int, int]:
+    """Every shape of column with one rim t-hook added, in every way,
+    each weighted by its hook's sign; zero sums are dropped."""
+    out: dict[int, int] = {}
+    between = (1 << (t - 1)) - 1
+    for mask, value in column.items():
+        movable = mask & ~(mask >> t)  # beads b with b + t empty
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            grown = mask ^ low ^ (low << t)
+            # the beads on the t - 1 positions strictly above b
+            if (mask & (between * (low << 1))).bit_count() & 1:
+                out[grown] = out.get(grown, 0) - value
+            else:
+                out[grown] = out.get(grown, 0) + value
+    return {mask: value for mask, value in out.items() if value}
+
+
+def _sweep(n: int, shapes: list[Partition], mus: list[Partition]) -> list[list[int]]:
+    """rows[i][j] = chi_shapes[i](mus[j]), from one depth-first walk of
+    the trie of cycle types of n, smallest part first.  A cycle type
+    may repeat in mus."""
+    masks = [_shape_mask(lam, n) for lam in shapes]
+    rows = [[0] * len(mus) for _ in shapes]
+    index: dict[Partition, list[int]] = {}
+    for j, mu in enumerate(mus):
+        index.setdefault(mu, []).append(j)
+
+    def walk(column: dict[int, int], rest: int, low: int, parts: Partition) -> None:
+        # a child adds a part t that leaves rest - t >= t for the parts
+        # after it; the leaf below this node adds rest as the last part
+        for t in range(low, rest // 2 + 1):
+            walk(_add_hooks(column, t), rest - t, t, parts + (t,))
+        js = index.get((rest,) + parts[::-1])
+        if js:
+            leaf = _add_hooks(column, rest)
+            for row, mask in zip(rows, masks):
+                for j in js:
+                    row[j] = leaf.get(mask, 0)
+
+    walk({(1 << n) - 1: 1}, n, 1, ())
+    return rows
+
+
 def sn_table(n: int) -> CharacterTable:
     """Exact integer character table of S_n.
 
@@ -130,9 +200,10 @@ def sn_table(n: int) -> CharacterTable:
     )
     mus = [c.data.parts for c in classes]
     identity_index = mus.index((1,) * n)
+    shapes = list(partitions(n))
     irreps = []
-    for lam in partitions(n):
-        values = tuple(mn_value(lam, mu) for mu in mus)
+    for lam, row in zip(shapes, _sweep(n, shapes, mus)):
+        values = tuple(row)
         irreps.append(Irrep(str(lam), values[identity_index], values))
     return CharacterTable(
         f"S{n}", factorial(n), classes, tuple(irreps), identity_index
@@ -189,33 +260,34 @@ def an_table(n: int) -> CharacterTable:
         i for i, c in enumerate(classes) if c.data[0].parts == (1,) * n
     )
 
+    shapes = list(partitions(n))
+    rows = _sweep(n, shapes, [ct.parts for ct, _half in cls_list])
     irreps = []
     seen: set[Partition] = set()
-    for lam in partitions(n):
+    for lam, row in zip(shapes, rows):
         if lam in seen:
             continue
         conj_lam = conjugate(lam)
         seen.add(lam)
         seen.add(conj_lam)
         if lam != conj_lam:
-            values = tuple(mn_value(lam, ct.parts) for ct, _half in cls_list)
+            values = tuple(row)
             irreps.append(Irrep(str(lam), degree_hook(lam), values))
             continue
         hooks = principal_hooks(lam)
         _eps, v_plus, v_minus = _split_value(lam)
         half_degree = degree_hook(lam) // 2
         vals_p, vals_m = [], []
-        for ct, half in cls_list:
+        for (ct, half), full in zip(cls_list, row):
             if half and ct.parts == hooks:
                 a, b = (v_plus, v_minus) if half == 1 else (v_minus, v_plus)
                 vals_p.append(a)
                 vals_m.append(b)
+            elif full % 2:
+                raise AssertionError(
+                    f"odd restricted value {full} for {lam} on {ct.parts}"
+                )
             else:
-                full = mn_value(lam, ct.parts)
-                if full % 2:
-                    raise AssertionError(
-                        f"odd restricted value {full} for {lam} on {ct.parts}"
-                    )
                 vals_p.append(full // 2)
                 vals_m.append(full // 2)
         irreps.append(Irrep(f"{lam}+", half_degree, tuple(vals_p)))

@@ -150,6 +150,49 @@ def test_cache_rejects_corruption(tmp_path, monkeypatch):
     assert cache_load("sn-4") is None  # checksum mismatch
 
 
+def _first_record(obj, kind):
+    """The first value record of the given kind in a table payload."""
+    return next(v[kind] for ir in obj["irreps"] for v in ir["values"] if kind in v)
+
+
+def _zero_order(payload):
+    _first_record(payload, "cyc")["order"] = 0
+
+
+def _rat_not_a_pair(payload):
+    payload["irreps"][0]["values"][0]["rat"] = 1
+
+
+def _ragged_row(payload):
+    payload["irreps"][0]["values"].pop()
+
+
+@pytest.mark.parametrize("corrupt", [_zero_order, _rat_not_a_pair, _ragged_row])
+def test_undecodable_checksummed_entry_is_a_miss(corrupt, tmp_path, monkeypatch, capsys):
+    # the checksum matches, but the entry does not decode into a table:
+    # the command rebuilds it and prints what --no-cache prints
+    monkeypatch.setenv("KNUTSON_CACHE_DIR", str(tmp_path))
+    cache_store("sl2-4", sl2_table(4))
+    path = tmp_path / "sl2-4.v1.json"
+    entry = json.loads(path.read_text())
+    corrupt(entry["table"])
+    entry["checksum"] = cli._checksum(entry["table"])
+    path.write_text(json.dumps(entry))
+    assert cache_load("sl2-4") is None
+    assert main(["table", "sl2", "4"]) == 0
+    cached = capsys.readouterr()
+    assert main(["table", "sl2", "4", "--no-cache"]) == 0
+    uncached = capsys.readouterr()
+    assert cached.out == uncached.out
+    assert cached.err == uncached.err == ""
+
+
+def test_cache_entry_that_is_not_an_object_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("KNUTSON_CACHE_DIR", str(tmp_path))
+    (tmp_path / "sn-4.v1.json").write_text("[]")
+    assert cache_load("sn-4") is None
+
+
 def test_unusable_cache_dir_is_a_warning(tmp_path):
     # a regular file where the cache directory should be: the table is
     # still printed and the command exits 0, with one warning line

@@ -11,6 +11,8 @@ from knutson.errors import CapExceededError, TableError
 from knutson.partitions import conjugate, degree_hook, partitions, principal_hooks
 from knutson.symchar import (
     CycleType,
+    _add_hooks,
+    _shape_mask,
     an_table,
     class_has_zero,
     cycle_types,
@@ -199,3 +201,64 @@ def test_column_orthogonality_via_centralizers():
         for ct in cycle_types(n):
             total = sum(mn_value(lam, ct.parts) ** 2 for lam in partitions(n))
             assert total == ct.centralizer_order()
+
+
+def test_hook_on_empty_shape_gives_signed_hooks():
+    # one t-hook added to the empty shape: the hooks (t - k, 1^k), each
+    # with sign (-1)^k for its k beads jumped over
+    for t in range(1, 9):
+        empty = _shape_mask((), t)
+        assert empty == (1 << t) - 1
+        expected = {
+            _shape_mask((t - k,) + (1,) * k, t): (-1) ** k for k in range(t)
+        }
+        assert _add_hooks({empty: 1}, t) == expected
+
+
+def test_one_hook_is_the_branching_rule():
+    # adding a 1-hook to a shape of 5 adds one box in every way, with sign +
+    n = 6
+    for lam in partitions(5):
+        rows = list(lam) + [0]
+        grown = set()
+        for i in range(len(rows)):
+            if i == 0 or rows[i - 1] > rows[i]:
+                bigger = rows[:i] + [rows[i] + 1] + rows[i + 1:]
+                grown.add(tuple(p for p in bigger if p))
+        expected = {_shape_mask(mu, n): 1 for mu in grown}
+        assert _add_hooks({_shape_mask(lam, n): 1}, 1) == expected
+
+
+def test_sn_sweep_equals_mn_value():
+    for n in range(1, 15):
+        table = sn_table(n)
+        for lam, ir in zip(partitions(n), table.irreps):
+            for cls, value in zip(table.classes, ir.values):
+                assert value == mn_value(lam, cls.data.parts), (lam, cls.label)
+
+
+def test_an_sweep_equals_mn_value():
+    # off the split classes, a self-conjugate shape's two halves each
+    # carry half of its S_n value; every other row is the S_n value
+    for n in range(3, 15):
+        table = an_table(n)
+        for ir in table.irreps:
+            halved = ir.label[-1] in "+-"
+            lam = eval(ir.label[:-1] if halved else ir.label)
+            for cls, value in zip(table.classes, ir.values):
+                ct, half = cls.data
+                if halved and half and ct.parts == principal_hooks(lam):
+                    continue
+                full = mn_value(lam, ct.parts)
+                assert value == (full // 2 if halved else full), (ir.label, cls.label)
+
+
+def test_s18_columns_square_to_centralizers():
+    # each column of the swept S18 table squares to its centralizer order;
+    # the build makes no mn_value call
+    before = mn_value.cache_info()
+    table = sn_table(18)
+    assert mn_value.cache_info() == before
+    for k, cls in enumerate(table.classes):
+        total = sum(ir.values[k] ** 2 for ir in table.irreps)
+        assert total == cls.data.centralizer_order(), cls.label
