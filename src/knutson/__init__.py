@@ -12,7 +12,6 @@ from .charring import (
     fusion_matrix,
     inner_product,
     regular_character,
-    tensor_decompose,
     trivial_index,
 )
 from .errors import CapExceededError, TableError
@@ -90,7 +89,6 @@ __all__ = [
     "sl2_table",
     "sn_table",
     "solve_integer",
-    "tensor_decompose",
     "trivial_index",
     "verify_rho_pm_obstruction",
     "zero_column_criterion",

@@ -81,14 +81,6 @@ def _residue_rows(table: CharacterTable) -> tuple[int, list, list]:
     return table._residue_rows
 
 
-def tensor_decompose(table: CharacterTable, a: int, c: int) -> tuple[int, ...]:
-    """Multiplicities N with chi_a * chi_c = sum_b N_b chi_b.
-
-    Column c of fusion_matrix(table, a).
-    """
-    return tuple(row[c] for row in fusion_matrix(table, a))
-
-
 def fusion_matrix(table: CharacterTable, a: int) -> list[list[int]]:
     """M with M[b][c] = multiplicity of chi_b in chi_a * chi_c, cached.
 

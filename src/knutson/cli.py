@@ -9,9 +9,11 @@ rationals as {"rat": [num, den]}, quadratic-irrational combinations as
 {"mq": [[d, num, den], ...]} (coefficient of sqrt(d)), cyclotomic values
 as {"cyc": {"order": m, "eq": tau^2, "base": [[e, num, den], ...],
 "tau": [...]}}.  Character tables are cached on disk under
-KNUTSON_CACHE_DIR (default ~/.cache/knutson) with a checksum, written
-atomically via temp-file rename; a cache that cannot be written is a
-warning on stderr, not a failure.
+KNUTSON_CACHE_DIR (default ~/.cache/knutson), one `{key}.v2.json` file
+per table: the SHA-256 hex digest of the compact table JSON, a newline,
+then exactly those JSON bytes, written atomically via temp-file rename.
+An entry that fails its digest or does not decode is a miss; a cache
+that cannot be written is a warning on stderr, not a failure.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .sl2tables import (
 )
 from .symchar import DEFAULT_CAP, an_classes, an_table, cycle_types, sn_table
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class UsageError(Exception):
@@ -162,20 +164,13 @@ def _cache_path(key: str) -> str:
     return os.path.join(cache_dir(), f"{key}.v{CACHE_VERSION}.json")
 
 
-def _checksum(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
 def cache_load(key: str) -> CharacterTable | None:
-    path = _cache_path(key)
     try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        if entry.get("version") != CACHE_VERSION:
+        with open(_cache_path(key), "rb") as fh:
+            digest, body = fh.readline(), fh.read()
+        if digest != hashlib.sha256(body).hexdigest().encode() + b"\n":
             return None
-        if entry.get("checksum") != _checksum(entry["table"]):
-            return None
-        return table_from_json(entry["table"])
+        return table_from_json(json.loads(body))
     except (
         OSError, ValueError, LookupError, TypeError, AttributeError,
         ArithmeticError, TableError,
@@ -186,18 +181,14 @@ def cache_load(key: str) -> CharacterTable | None:
 
 
 def cache_store(key: str, table: CharacterTable) -> None:
-    payload = table_to_json(table)
-    entry = {
-        "version": CACHE_VERSION,
-        "checksum": _checksum(payload),
-        "table": payload,
-    }
+    body = json.dumps(table_to_json(table), separators=(",", ":")).encode()
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n")
+            fh.write(body)
         os.replace(tmp, _cache_path(key))
     except BaseException:
         if os.path.exists(tmp):
@@ -419,23 +410,30 @@ def _suite_orthogonality() -> list[dict]:
     return checks
 
 
+def _expect(name: str, expected, found) -> dict:
+    return {
+        "name": name, "pass": found == expected,
+        "expected": expected, "found": found,
+    }
+
+
 def _suite_sequences() -> list[dict]:
     return [
-        {
-            "name": "a363675 prefix",
-            "pass": seq_L_Sn(200).terms
-            == (1, 6, 10, 21, 36, 66, 105, 120, 136, 190),
-        },
-        {
-            "name": "a363676 prefix",
-            "pass": seq_L_An(60).terms
-            == (1, 2, 5, 6, 8, 10, 12, 17, 21, 30, 36, 57),
-        },
-        {
-            "name": "a363701 prefix",
-            "pass": seq_zero_columns_sn(21).terms
-            == (1, 5, 6, 8, 9, 10, 12, 14, 17, 21),
-        },
+        _expect(
+            "a363675 prefix",
+            (1, 6, 10, 21, 36, 66, 105, 120, 136, 190),
+            seq_L_Sn(200).terms,
+        ),
+        _expect(
+            "a363676 prefix",
+            (1, 2, 5, 6, 8, 10, 12, 17, 21, 30, 36, 57),
+            seq_L_An(60).terms,
+        ),
+        _expect(
+            "a363701 prefix",
+            (1, 5, 6, 8, 9, 10, 12, 14, 17, 21),
+            seq_zero_columns_sn(21).terms,
+        ),
     ]
 
 
@@ -455,18 +453,17 @@ def _suite_knutson_small() -> list[dict]:
     checks = []
     for q, want in ((2, 1), (3, 1), (4, 1), (5, 2), (7, 2), (8, 1)):
         got = knutson_index_group(sl2_table(q))
-        checks.append({"name": f"K(SL2({q}))={want}", "pass": got == want})
+        checks.append(_expect(f"K(SL2({q}))={want}", want, got))
     for q, want in ((4, 1), (5, 1), (7, 1), (9, 1)):
         got = knutson_index_group(psl2_table(q))
-        checks.append({"name": f"K(PSL2({q}))={want}", "pass": got == want})
+        checks.append(_expect(f"K(PSL2({q}))={want}", want, got))
     for n in range(1, 7):
         got = knutson_index_group(sn_table(n))
-        checks.append({"name": f"K(S{n})=1", "pass": got == 1})
+        checks.append(_expect(f"K(S{n})=1", 1, got))
     got = min_rho_search(sl2_table(2))
-    checks.append({
-        "name": "K'(SL2(2))=1/3",
-        "pass": got is not None and got[1] == Fraction(1, 3),
-    })
+    checks.append(_expect(
+        "K'(SL2(2))=1/3", "1/3", None if got is None else str(got[1])
+    ))
     return checks
 
 

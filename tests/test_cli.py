@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schema round trips, the table cache."""
 
+import hashlib
 import json
 import os
 import signal
@@ -29,7 +30,7 @@ from knutson.cli import (
 from knutson.sl2tables import EVEN_CAP, sl2_table
 from knutson.errors import TableError
 from knutson.partitions import CORES_MAX_N, hook_multiset
-from knutson.sequences import L_SEQUENCES_CAP, ZERO_COLUMNS_CAP
+from knutson.sequences import L_SEQUENCES_CAP, ZERO_COLUMNS_CAP, SequenceRecord
 from knutson.symchar import DEFAULT_CAP, an_table, sn_table
 
 from oracles import count_t_cores_quotient, with_entry
@@ -140,14 +141,106 @@ def test_cache_round_trip():
     cached.check_orthogonality()
 
 
-def test_cache_rejects_corruption(tmp_path, monkeypatch):
-    monkeypatch.setenv("KNUTSON_CACHE_DIR", str(tmp_path))
+@pytest.mark.parametrize(
+    "key,build,param",
+    [
+        ("sn-8", sn_table, 8),  # int values
+        ("an-9", an_table, 9),  # MultiQuadratic values
+        ("sl2-7", sl2_table, 7),  # CyclotomicTau with tau
+        ("sl2-8", sl2_table, 8),  # CyclotomicTau with tau^2 = 0
+    ],
+)
+def test_cache_round_trip_is_exact(key, build, param):
+    built = build(param)
+    cache_store(key, built)
+    assert table_to_json(cache_load(key)) == table_to_json(built)
+
+
+def _entry(key):
+    """(digest line, body) of a stored cache entry."""
+    digest, _, body = Path(cli._cache_path(key)).read_bytes().partition(b"\n")
+    return digest, body
+
+
+def _write_entry(key, payload):
+    """Write payload as an entry whose digest matches its body."""
+    body = json.dumps(payload).encode()
+    digest = hashlib.sha256(body).hexdigest().encode()
+    Path(cli._cache_path(key)).write_bytes(digest + b"\n" + body)
+
+
+def test_cache_rejects_corruption():
     cache_store("sn-4", sn_table(4))
-    path = tmp_path / "sn-4.v1.json"
-    entry = json.loads(path.read_text())
-    entry["table"]["order"] = 25
-    path.write_text(json.dumps(entry))
+    digest, body = _entry("sn-4")
+    assert b'"order":24,' in body
+    corrupt = body.replace(b'"order":24,', b'"order":25,')
+    Path(cli._cache_path("sn-4")).write_bytes(digest + b"\n" + corrupt)
     assert cache_load("sn-4") is None  # checksum mismatch
+
+
+def _flip(body, i):
+    flipped = bytearray(body)
+    flipped[i] ^= 1
+    return bytes(flipped)
+
+
+def _decodes(body):
+    try:
+        table_from_json(json.loads(body))
+    except Exception:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("which", [0, 0.5, -1], ids=["first", "middle", "last"])
+def test_cache_flipped_body_byte_is_a_miss(which):
+    # among the bytes whose low bit flipped still leaves a body that
+    # decodes into a table, so that only the digest rejects it
+    cache_store("sn-4", sn_table(4))
+    digest, body = _entry("sn-4")
+    flips = [i for i in range(len(body)) if _decodes(_flip(body, i))]
+    flipped = _flip(body, flips[int(which * len(flips))])
+    Path(cli._cache_path("sn-4")).write_bytes(digest + b"\n" + flipped)
+    assert cache_load("sn-4") is None
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda digest, body: digest + body,  # no newline
+        lambda digest, body: body,  # no digest line
+        lambda digest, body: digest + b"\n",  # no body
+        lambda digest, body: digest + b"\n" + body[:-1],  # truncated body
+    ],
+    ids=["no-newline", "no-digest", "no-body", "truncated"],
+)
+def test_cache_malformed_file_is_a_miss(damage):
+    cache_store("sn-4", sn_table(4))
+    Path(cli._cache_path("sn-4")).write_bytes(damage(*_entry("sn-4")))
+    assert cache_load("sn-4") is None
+
+
+def test_cache_ignores_v1_entries(capsys):
+    # a well-formed entry of the old format, whose table (order 25) is
+    # not the one the command prints: it is never read
+    payload = table_to_json(sn_table(4))
+    payload["order"] = 25
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    v1 = json.dumps({
+        "version": 1,
+        "checksum": hashlib.sha256(blob.encode()).hexdigest(),
+        "table": payload,
+    }).encode()
+    old = Path(cli.cache_dir()) / "sn-4.v1.json"
+    old.parent.mkdir(parents=True)
+    old.write_bytes(v1)
+    assert cache_load("sn-4") is None
+    assert main(["table", "sn", "4"]) == 0
+    cached = capsys.readouterr()
+    assert main(["table", "sn", "4", "--no-cache"]) == 0
+    assert cached == capsys.readouterr()
+    assert old.read_bytes() == v1
+    assert Path(cli._cache_path("sn-4")).is_file()
 
 
 def _first_record(obj, kind):
@@ -168,16 +261,13 @@ def _ragged_row(payload):
 
 
 @pytest.mark.parametrize("corrupt", [_zero_order, _rat_not_a_pair, _ragged_row])
-def test_undecodable_checksummed_entry_is_a_miss(corrupt, tmp_path, monkeypatch, capsys):
+def test_undecodable_checksummed_entry_is_a_miss(corrupt, capsys):
     # the checksum matches, but the entry does not decode into a table:
     # the command rebuilds it and prints what --no-cache prints
-    monkeypatch.setenv("KNUTSON_CACHE_DIR", str(tmp_path))
     cache_store("sl2-4", sl2_table(4))
-    path = tmp_path / "sl2-4.v1.json"
-    entry = json.loads(path.read_text())
-    corrupt(entry["table"])
-    entry["checksum"] = cli._checksum(entry["table"])
-    path.write_text(json.dumps(entry))
+    payload = json.loads(_entry("sl2-4")[1])
+    corrupt(payload)
+    _write_entry("sl2-4", payload)
     assert cache_load("sl2-4") is None
     assert main(["table", "sl2", "4"]) == 0
     cached = capsys.readouterr()
@@ -187,9 +277,9 @@ def test_undecodable_checksummed_entry_is_a_miss(corrupt, tmp_path, monkeypatch,
     assert cached.err == uncached.err == ""
 
 
-def test_cache_entry_that_is_not_an_object_is_a_miss(tmp_path, monkeypatch):
-    monkeypatch.setenv("KNUTSON_CACHE_DIR", str(tmp_path))
-    (tmp_path / "sn-4.v1.json").write_text("[]")
+def test_cache_entry_that_is_not_an_object_is_a_miss():
+    cache_store("sn-4", sn_table(4))
+    _write_entry("sn-4", [])
     assert cache_load("sn-4") is None
 
 
@@ -342,6 +432,24 @@ def test_main_verify_cores(capsys):
     assert main(["verify", "cores"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["pass"] is True
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_checks_report_expected_and_found(capsys, monkeypatch, broken):
+    # found equals expected exactly when a check passes; with every index
+    # reported as 2, the K = 2 checks pass and the rest fail
+    if broken:
+        monkeypatch.setattr(cli, "knutson_index_group", lambda table: 2)
+        monkeypatch.setattr(
+            cli, "seq_L_An", lambda limit: SequenceRecord("a363676", limit, (1,))
+        )
+    for suite in ("sequences", "knutson-small"):
+        assert main(["verify", suite]) == (1 if broken else 0)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        for c in checks:
+            assert list(c) == ["name", "pass", "expected", "found"]
+            assert c["pass"] == (c["found"] == c["expected"])
+        assert {c["pass"] for c in checks} == ({False, True} if broken else {True})
 
 
 def test_wrong_loeschian_predicate_is_caught(capsys, monkeypatch):
