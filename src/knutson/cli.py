@@ -72,6 +72,8 @@ class UsageError(Exception):
 # exact-value (de)serialization
 
 def value_to_json(v):
+    if type(v) is int:
+        return {"rat": [v, 1]}
     if isinstance(v, (int, Fraction)):
         f = Fraction(v)
         return {"rat": [f.numerator, f.denominator]}
@@ -103,6 +105,10 @@ def value_to_json(v):
 def value_from_json(obj):
     if "rat" in obj:
         num, den = obj["rat"]
+        if type(num) is not int or type(den) is not int:
+            raise TypeError(f"rat record of non-integers {obj!r}")
+        if den == 1:
+            return num
         f = Fraction(num, den)
         return f.numerator if f.denominator == 1 else f
     if "mq" in obj:
@@ -443,9 +449,20 @@ def _suite_sl2_rho(q: int) -> list[dict]:
         "name": f"column assignment q={q}",
         "pass": True,
         "detail": report.column,
+        "expected": ["left", "right"],
+        "found": report.column,
     }]
     for name, row in report.selected_rows().items():
-        checks.append({"name": f"row {name}", "pass": row.accepted})
+        if row.verified:
+            found = "verified"
+        elif row.correction is not None:
+            found = "corrected"
+        else:
+            found = "rejected"
+        checks.append({
+            "name": f"row {name}", "pass": row.accepted,
+            "expected": "accepted", "found": found,
+        })
     return checks
 
 
@@ -468,31 +485,28 @@ def _suite_knutson_small() -> list[dict]:
 
 
 def _suite_cores() -> list[dict]:
-    checks = [
-        {
-            "name": "count_t_cores(n,3) == sigma3(3n+1), n <= 60",
-            "pass": all(
-                count_t_cores(n, 3) == sigma3(3 * n + 1) for n in range(61)
-            ),
-        },
-        {
-            "name": "exists_t_core fast paths == brute force, n <= 40",
-            "pass": all(
-                exists_t_core(n, t)
-                == any(is_t_core(lam, t) for lam in partitions(n))
-                for n in range(41)
-                for t in (2, 3, 5, 7, 11, 13)
-            ),
-        },
-        {
-            "name": "quadform theorem, n <= 2000",
-            "pass": all(
-                quadform_xxyy(n) == is_loeschian(3 * n + 1)
-                for n in range(2001)
-            ),
-        },
+    # each check lists the n at which the two computations disagree
+    return [
+        _expect(
+            "count_t_cores(n,3) == sigma3(3n+1), n <= 60", [],
+            [n for n in range(61) if count_t_cores(n, 3) != sigma3(3 * n + 1)],
+        ),
+        _expect(
+            "exists_t_core fast paths == brute force, n <= 40", [],
+            [
+                n for n in range(41)
+                if any(
+                    exists_t_core(n, t)
+                    != any(is_t_core(lam, t) for lam in partitions(n))
+                    for t in (2, 3, 5, 7, 11, 13)
+                )
+            ],
+        ),
+        _expect(
+            "quadform theorem, n <= 2000", [],
+            [n for n in range(2001) if quadform_xxyy(n) != is_loeschian(3 * n + 1)],
+        ),
     ]
-    return checks
 
 
 def cmd_verify(args) -> int:

@@ -9,8 +9,9 @@ t-core sigma and the class has more than s cycles of length t, then the
 character of shape (sigma_1 + s*t, sigma_2, ...) vanishes on it (strip
 the t-cycles by Murnaghan-Nakayama and land on a shape with no t-hook).
 Each certificate is re-verified by evaluating the character, so the
-pruning cannot beg the question; classes without a certificate get the
-full early-exit column scan.
+pruning cannot beg the question; a class without a certificate gets
+its whole column from one forward Murnaghan-Nakayama sweep
+(symchar.class_has_zero).
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def vanishing_certificate(
 
 def class_zero_certified(n: int, ct: CycleType) -> bool:
     """Whether some character vanishes on the class: certificate first,
-    full early-exit column scan as the fallback."""
+    the one-column sweep as the fallback."""
     if vanishing_certificate(n, ct) is not None:
         return True
     return class_has_zero(n, ct.parts)

@@ -13,11 +13,13 @@ walked as a trie, depth first, so those that share their small parts
 share the dicts of that prefix, and one sweep per table build fills
 every column.
 
+class_has_zero sweeps the one column of its class the same way and
+asks whether the dict holds fewer than p(n) shapes.
+
 mn_value evaluates a single chi_lam(mu) by the backward recursion over
 beta-sets, memoized globally on (remaining shape, remaining cycles)
-with the largest cycle stripped first.  It serves the column scans and
-certificate re-checks of the sequences, which touch few values of many
-classes: there a whole-column sweep per class would cost far more.
+with the largest cycle stripped first.  It serves only the re-checks of
+the sequences' vanishing certificates, one value per certified class.
 
 A_n is built by restriction: a non-self-conjugate pair of S_n
 characters restricts to one irreducible, a self-conjugate shape splits
@@ -298,15 +300,19 @@ def an_table(n: int) -> CharacterTable:
 
 
 @cache
-def _shapes_by_degree(n: int) -> tuple[Partition, ...]:
-    return tuple(sorted(partitions(n), key=degree_hook, reverse=True))
+def _partition_count(n: int) -> int:
+    return sum(1 for _ in partitions(n))
 
 
 def class_has_zero(n: int, mu: Partition) -> bool:
-    """Early-exit column scan: does some chi_lam vanish on class mu?
+    """Does some chi_lam vanish on class mu?
 
-    Characters are scanned in decreasing degree order, where zeros are
-    most frequent.
+    One forward sweep of the column of mu from the empty shape, parts
+    smallest first, as in _sweep: _add_hooks drops zero sums, so a
+    shape is missing from the column exactly when its character
+    vanishes on mu.
     """
-    return any(mn_value(lam, mu) == 0 for lam in _shapes_by_degree(n))
-
+    column = {(1 << n) - 1: 1}
+    for t in reversed(mu):
+        column = _add_hooks(column, t)
+    return len(column) < _partition_count(n)

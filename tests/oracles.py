@@ -11,7 +11,8 @@ from sympy.matrices.normalforms import hermite_normal_form
 from knutson.algnum import rational_value
 from knutson.chartable import CharacterTable, Irrep
 from knutson.errors import TableError
-from knutson.partitions import partitions
+from knutson.partitions import degree_hook, partitions
+from knutson.symchar import mn_value
 
 Matrix = list[list[int]]
 
@@ -65,6 +66,14 @@ def column_relations(table: CharacterTable) -> None:
                     f"{table.label}: column orthogonality fails at "
                     f"({table.classes[k].label}, {table.classes[l].label}): {got}"
                 )
+
+
+def class_has_zero_scan(n: int, mu: tuple[int, ...]) -> bool:
+    """Whether some chi_lam vanishes on the class mu, by evaluating
+    mn_value on the shapes of n in decreasing degree order (where zeros
+    are most frequent) up to the first zero."""
+    shapes = sorted(partitions(n), key=degree_hook, reverse=True)
+    return any(mn_value(lam, mu) == 0 for lam in shapes)
 
 
 def with_entry(table: CharacterTable, i: int, k: int, value) -> CharacterTable:

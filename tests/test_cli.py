@@ -9,6 +9,7 @@ import sys
 import time
 from contextlib import contextmanager
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from knutson.cli import (
     value_from_json,
     value_to_json,
 )
-from knutson.sl2tables import EVEN_CAP, sl2_table
+from knutson.sl2tables import EVEN_CAP, paper_rho_inverses, sl2_table
 from knutson.errors import TableError
 from knutson.partitions import CORES_MAX_N, hook_multiset
 from knutson.sequences import L_SEQUENCES_CAP, ZERO_COLUMNS_CAP, SequenceRecord
@@ -59,12 +60,11 @@ def _time_limit(seconds):
 
 
 def test_value_round_trip():
-    from fractions import Fraction
-
     samples = [
         0,
         7,
         -3,
+        10**30,
         Fraction(5, 2),
         MultiQuadratic.sqrt(5),
         MultiQuadratic.sqrt(-3) * Fraction(1, 2) + 4,
@@ -73,7 +73,21 @@ def test_value_round_trip():
     ]
     for v in samples:
         back = value_from_json(json.loads(json.dumps(value_to_json(v))))
-        assert v == back, v
+        assert v == back and type(back) is type(v), v
+
+
+@pytest.mark.parametrize(
+    "record", [[1.5, 1], [5, 1.0], [True, 1], [1, 0]],
+    ids=["float-num", "float-den", "bool-num", "zero-den"],
+)
+def test_malformed_rat_record_is_a_miss(record):
+    with pytest.raises((TypeError, ZeroDivisionError)):
+        value_from_json({"rat": record})
+    cache_store("sn-4", sn_table(4))
+    payload = json.loads(_entry("sn-4")[1])
+    payload["irreps"][0]["values"][0]["rat"] = record
+    _write_entry("sn-4", payload)
+    assert cache_load("sn-4") is None
 
 
 def test_table_round_trip_preserves_orthogonality():
@@ -450,6 +464,53 @@ def test_verify_checks_report_expected_and_found(capsys, monkeypatch, broken):
             assert list(c) == ["name", "pass", "expected", "found"]
             assert c["pass"] == (c["found"] == c["expected"])
         assert {c["pass"] for c in checks} == ({False, True} if broken else {True})
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_cores_reports_the_failing_n(capsys, monkeypatch, broken):
+    # each range check expects no failing n and finds the n it breaks at:
+    # sigma3 is wrong at 3 * 5 + 1, exists_t_core at (4, 2), quadform_xxyy at 7
+    if broken:
+        sigma3, exists, quadform = cli.sigma3, cli.exists_t_core, cli.quadform_xxyy
+        monkeypatch.setattr(cli, "sigma3", lambda m: sigma3(m) + (m == 16))
+        monkeypatch.setattr(
+            cli, "exists_t_core", lambda n, t: exists(n, t) != ((n, t) == (4, 2))
+        )
+        monkeypatch.setattr(cli, "quadform_xxyy", lambda n: quadform(n) != (n == 7))
+    assert main(["verify", "cores"]) == (1 if broken else 0)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    for c in checks:
+        assert list(c) == ["name", "pass", "expected", "found"]
+        assert c["expected"] == [] and c["pass"] == (c["found"] == [])
+    assert [c["found"] for c in checks] == (
+        [[5], [4], [7]] if broken else [[], [], []]
+    )
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_sl2_rho_reports_each_row_outcome(capsys, monkeypatch, broken):
+    # at q = 7 the chi_odd row is accepted through its correction; with
+    # the correction withheld it is rejected and the suite fails
+    def report(q):
+        got = paper_rho_inverses(q)
+        if broken:
+            got.selected_rows()["chi_odd"].correction = None
+        return got
+
+    monkeypatch.setattr(cli, "paper_rho_inverses", report)
+    assert main(["verify", "sl2-rho", "--q", "7"]) == (1 if broken else 0)
+    column, *rows = json.loads(capsys.readouterr().out)["checks"]
+    assert column == {
+        "name": "column assignment q=7", "pass": True, "detail": "right",
+        "expected": ["left", "right"], "found": "right",
+    }
+    for c in rows:
+        assert list(c) == ["name", "pass", "expected", "found"]
+        assert c["expected"] == "accepted"
+        assert c["pass"] == (c["found"] != "rejected")
+    found = {c["name"]: c["found"] for c in rows}
+    assert found.pop("row chi_odd") == ("rejected" if broken else "corrected")
+    assert set(found.values()) == {"verified"}
 
 
 def test_wrong_loeschian_predicate_is_caught(capsys, monkeypatch):

@@ -4,7 +4,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from oracles import with_entry
+from oracles import class_has_zero_scan, with_entry
 
 from knutson.algnum import MultiQuadratic, rational_value
 from knutson.errors import CapExceededError, TableError
@@ -174,10 +174,22 @@ def test_split_classes_are_distinct_odd_hooks():
 
 
 def test_class_has_zero_matches_direct_scan():
-    for n in range(2, 9):
+    for n in range(1, 15):
         for mu in partitions(n):
-            direct = any(mn_value(lam, mu) == 0 for lam in partitions(n))
-            assert class_has_zero(n, mu) == direct
+            assert class_has_zero(n, mu) == class_has_zero_scan(n, mu), mu
+
+
+def test_s16_class_scan_makes_no_mn_value_call():
+    # the one-column sweep answers every class of S16 without mn_value,
+    # and the classes with a zero agree with the swept table's columns
+    before = mn_value.cache_info()
+    got = [class_has_zero(16, ct.parts) for ct in cycle_types(16)]
+    assert mn_value.cache_info() == before
+    table = sn_table(16)
+    assert got == [
+        any(ir.values[k] == 0 for ir in table.irreps)
+        for k in range(len(table.classes))
+    ]
 
 
 def test_nonvanishing_classes_small():
