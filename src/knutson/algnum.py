@@ -86,20 +86,16 @@ class MultiQuadratic:
         self.coeffs = {d: c for d, c in out.items() if c != 0}
 
     @classmethod
-    def from_rational(cls, r) -> "MultiQuadratic":
-        return cls({1: Fraction(r)})
-
-    @classmethod
     def sqrt(cls, n: int, scale=1) -> "MultiQuadratic":
         """scale * sqrt(n) for any nonzero integer n."""
         g, d = squarefree_decompose(n)
-        return cls({d: Fraction(scale) * g})
+        return cls({d: scale * g})
 
     def _coerce(self, other):
         if isinstance(other, MultiQuadratic):
             return other
         if isinstance(other, _RATIONAL_TYPES):
-            return MultiQuadratic.from_rational(other)
+            return MultiQuadratic({1: other})
         return None
 
     def __add__(self, other):
@@ -108,7 +104,7 @@ class MultiQuadratic:
             return NotImplemented
         out = dict(self.coeffs)
         for d, c in o.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
+            out[d] = out.get(d, 0) + c
         return MultiQuadratic(out)
 
     __radd__ = __add__
@@ -140,7 +136,7 @@ class MultiQuadratic:
                     g, d3 = d1, 1
                 else:
                     g, d3 = _mul_radicals(d1, d2)
-                out[d3] = out.get(d3, Fraction(0)) + c1 * c2 * g
+                out[d3] = out.get(d3, 0) + c1 * c2 * g
         return MultiQuadratic(out)
 
     __rmul__ = __mul__
@@ -160,7 +156,7 @@ class MultiQuadratic:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self}")
-        return self.coeffs.get(1, Fraction(0))
+        return Fraction(self.coeffs.get(1, 0))
 
     def __complex__(self) -> complex:
         return sum(
@@ -177,7 +173,7 @@ class MultiQuadratic:
     def __hash__(self):
         # A rational value must hash like the int or Fraction it equals.
         if self.is_rational():
-            return hash(self.coeffs.get(1, Fraction(0)))
+            return hash(self.coeffs.get(1, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
@@ -286,12 +282,8 @@ class CyclotomicTau:
             raise ValueError("tau component without a tau^2 relation")
 
     @classmethod
-    def rational(cls, m: int, tau_sq: int, r) -> "CyclotomicTau":
-        return cls(m, tau_sq, {0: Fraction(r)})
-
-    @classmethod
     def root_of_unity(cls, m: int, k: int, tau_sq: int = 0) -> "CyclotomicTau":
-        return cls(m, tau_sq, {k % m: Fraction(1)})
+        return cls(m, tau_sq, {k % m: 1})
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicTau):
@@ -302,14 +294,14 @@ class CyclotomicTau:
                 )
             return other
         if isinstance(other, _RATIONAL_TYPES):
-            return CyclotomicTau.rational(self.m, self.tau_sq, other)
+            return CyclotomicTau(self.m, self.tau_sq, {0: other})
         return None
 
     @staticmethod
     def _dadd(a, b, sign=1):
         out = dict(a)
         for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + sign * c
+            out[e] = out.get(e, 0) + sign * c
         return out
 
     def _dmul(self, a, b):
@@ -318,7 +310,7 @@ class CyclotomicTau:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = (e1 + e2) % m
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return out
 
     def __add__(self, other):

@@ -5,15 +5,16 @@ exceeded, 4 published-table discrepancy (a rho-inverse row that neither
 verifies nor admits the flagged correction).
 
 Exact values survive serialization through a tagged-union JSON schema:
-rationals as {"rat": [num, den]}, quadratic-irrational combinations as
-{"mq": [[d, num, den], ...]} (coefficient of sqrt(d)), cyclotomic values
-as {"cyc": {"order": m, "eq": tau^2, "base": [[e, num, den], ...],
-"tau": [...]}}.  Character tables are cached on disk under
-KNUTSON_CACHE_DIR (default ~/.cache/knutson), one `{key}.v2.json` file
-per table: the SHA-256 hex digest of the compact table JSON, a newline,
-then exactly those JSON bytes, written atomically via temp-file rename.
-An entry that fails its digest or does not decode is a miss; a cache
-that cannot be written is a warning on stderr, not a failure.
+integers as bare JSON integers (and every integer field must be one:
+24.0 or true is not), quadratic-irrational combinations as {"mq": [[d,
+num, den], ...]} (coefficient of sqrt(d)), cyclotomic values as {"cyc":
+{"order": m, "eq": tau^2, "base": [[e, num, den], ...], "tau": [...]}}.
+Tables are cached under KNUTSON_CACHE_DIR (default ~/.cache/knutson),
+one `{key}.v3.json` file per table (`.v1` and `.v2` files are ignored):
+the SHA-256 hex digest of the compact table JSON, a newline, then
+exactly those JSON bytes, written atomically via temp-file rename.  An
+entry that fails its digest or does not decode is a miss; a cache that
+cannot be written is a warning on stderr, not a failure.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from .sl2tables import (
     sl2_table,
     verify_rho_pm_obstruction,
 )
-from .symchar import DEFAULT_CAP, an_classes, an_table, cycle_types, sn_table
+from .symchar import an_classes, an_table, check_cap, cycle_types, sn_table
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class UsageError(Exception):
@@ -71,56 +72,53 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # exact-value (de)serialization
 
+def _triples(coeffs: dict) -> list:
+    """[k, num, den] for each k: c of coeffs, in key order."""
+    return [[k, c.numerator, c.denominator] for k, c in sorted(coeffs.items())]
+
+
 def value_to_json(v):
     if type(v) is int:
-        return {"rat": [v, 1]}
-    if isinstance(v, (int, Fraction)):
-        f = Fraction(v)
-        return {"rat": [f.numerator, f.denominator]}
+        return v
     if isinstance(v, MultiQuadratic):
-        return {
-            "mq": [
-                [d, c.numerator, c.denominator]
-                for d, c in sorted(v.coeffs.items())
-            ]
-        }
+        return {"mq": _triples(v.coeffs)}
     if isinstance(v, CyclotomicTau):
         return {
             "cyc": {
-                "order": v.m,
-                "eq": v.tau_sq,
-                "base": [
-                    [e, c.numerator, c.denominator]
-                    for e, c in sorted(v.base.items())
-                ],
-                "tau": [
-                    [e, c.numerator, c.denominator]
-                    for e, c in sorted(v.tau.items())
-                ],
+                "order": v.m, "eq": v.tau_sq,
+                "base": _triples(v.base), "tau": _triples(v.tau),
             }
         }
     raise TypeError(f"unserializable value {v!r}")
 
 
+def _exact(*xs) -> None:
+    """Raise TypeError unless every x is an exact int, not a float or bool."""
+    for x in xs:
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not an exact integer")
+
+
+def _coefficients(triples) -> dict:
+    """The inverse of _triples, with num itself for num/1."""
+    out = {}
+    for k, num, den in triples:
+        _exact(k, num, den)
+        out[k] = num if den == 1 else Fraction(num, den)
+    return out
+
+
 def value_from_json(obj):
-    if "rat" in obj:
-        num, den = obj["rat"]
-        if type(num) is not int or type(den) is not int:
-            raise TypeError(f"rat record of non-integers {obj!r}")
-        if den == 1:
-            return num
-        f = Fraction(num, den)
-        return f.numerator if f.denominator == 1 else f
+    if type(obj) is int:
+        return obj
     if "mq" in obj:
-        return MultiQuadratic(
-            {d: Fraction(num, den) for d, num, den in obj["mq"]}
-        )
+        return MultiQuadratic(_coefficients(obj["mq"]))
     if "cyc" in obj:
         c = obj["cyc"]
+        _exact(c["order"], c["eq"])
         return CyclotomicTau(
             c["order"], c["eq"],
-            {e: Fraction(num, den) for e, num, den in c["base"]},
-            {e: Fraction(num, den) for e, num, den in c["tau"]},
+            _coefficients(c["base"]), _coefficients(c["tau"]),
         )
     raise ValueError(f"unknown value record {obj!r}")
 
@@ -150,6 +148,10 @@ def table_from_json(obj: dict) -> CharacterTable:
             tuple(value_from_json(v) for v in ir["values"]),
         )
         for ir in obj["irreps"]
+    )
+    _exact(
+        obj["order"], obj["identity_index"],
+        *(c.size for c in classes), *(ir.degree for ir in irreps),
     )
     return CharacterTable(
         obj["label"], obj["order"], classes, irreps, obj["identity_index"]
@@ -205,10 +207,7 @@ def cache_store(key: str, table: CharacterTable) -> None:
 def _check_cap(kind: str, param: int) -> None:
     """The builders' caps, checked before any cache read."""
     if kind in ("sn", "an"):
-        if param > DEFAULT_CAP:
-            raise CapExceededError(
-                f"{kind}_table({param}) exceeds cap {DEFAULT_CAP}"
-            )
+        check_cap(kind, param)
     else:
         Sl2Param.from_q(param)
 
@@ -484,8 +483,20 @@ def _suite_knutson_small() -> list[dict]:
     return checks
 
 
+def _cores_present(n: int, ts: tuple[int, ...]) -> set[int]:
+    """The t in ts with a t-core of n, by brute force: one pass over
+    partitions(n), asking is_t_core only about the t not yet found."""
+    pending = set(ts)
+    for lam in partitions(n):
+        pending -= {t for t in pending if is_t_core(lam, t)}
+        if not pending:
+            break
+    return set(ts) - pending
+
+
 def _suite_cores() -> list[dict]:
     # each check lists the n at which the two computations disagree
+    ts = (2, 3, 5, 7, 11, 13)
     return [
         _expect(
             "count_t_cores(n,3) == sigma3(3n+1), n <= 60", [],
@@ -495,11 +506,7 @@ def _suite_cores() -> list[dict]:
             "exists_t_core fast paths == brute force, n <= 40", [],
             [
                 n for n in range(41)
-                if any(
-                    exists_t_core(n, t)
-                    != any(is_t_core(lam, t) for lam in partitions(n))
-                    for t in (2, 3, 5, 7, 11, 13)
-                )
+                if {t for t in ts if exists_t_core(n, t)} != _cores_present(n, ts)
             ],
         ),
         _expect(

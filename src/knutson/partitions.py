@@ -116,9 +116,14 @@ def is_t_core(parts: Partition, t: int) -> bool:
     """
     if t < 2:
         raise ValueError("t must be at least 2")
-    r = len(parts)
-    beta = {p + r - 1 - i for i, p in enumerate(parts)}
-    return all(b < t or b - t in beta for b in beta)
+    top = len(parts) - 1
+    beads = 0
+    for i in range(top, -1, -1):
+        b = parts[i] + top - i
+        if b >= t and not beads >> (b - t) & 1:
+            return False
+        beads |= 1 << b
+    return True
 
 
 def count_t_cores(n: int, t: int) -> int:

@@ -50,6 +50,12 @@ from .partitions import (
 DEFAULT_CAP = 22
 
 
+def check_cap(kind: str, n: int) -> None:
+    """The one cap of the S_n ("sn") and A_n ("an") tables."""
+    if n > DEFAULT_CAP:
+        raise CapExceededError(f"{kind}_table({n}) exceeds cap {DEFAULT_CAP}")
+
+
 @dataclass(frozen=True)
 class CycleType:
     """Conjugacy class of S_n, labelled by its cycle lengths."""
@@ -195,8 +201,7 @@ def sn_table(n: int) -> CharacterTable:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > DEFAULT_CAP:
-        raise CapExceededError(f"sn_table({n}) exceeds cap {DEFAULT_CAP}")
+    check_cap("sn", n)
     classes = tuple(
         ConjClass(ct.label(), ct.class_size(), ct) for ct in cycle_types(n)
     )
@@ -219,7 +224,7 @@ def _split_value(lam: Partition) -> tuple[int, MultiQuadratic, MultiQuadratic]:
     n, r = sum(lam), len(hooks)
     eps = (-1) ** ((n - r) // 2)
     root = MultiQuadratic.sqrt(eps * prod(hooks), Fraction(1, 2))
-    half_eps = MultiQuadratic.from_rational(Fraction(eps, 2))
+    half_eps = MultiQuadratic({1: Fraction(eps, 2)})
     return eps, half_eps + root, half_eps - root
 
 
@@ -246,8 +251,7 @@ def an_table(n: int) -> CharacterTable:
     """
     if n < 3:
         raise ValueError("an_table requires n >= 3")
-    if n > DEFAULT_CAP:
-        raise CapExceededError(f"an_table({n}) exceeds cap {DEFAULT_CAP}")
+    check_cap("an", n)
     cls_list = an_classes(n)
     classes = []
     for ct, half in cls_list:

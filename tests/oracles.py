@@ -1,5 +1,6 @@
 """Brute-force oracles that the package's fast paths are tested against,
-and a helper that corrupts one entry of a character table."""
+a helper that corrupts one entry of a character table, and one that
+finds the entries holding a Fraction."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,7 @@ from math import gcd, isqrt, lcm
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from knutson.algnum import rational_value
+from knutson.algnum import CyclotomicTau, MultiQuadratic, rational_value
 from knutson.chartable import CharacterTable, Irrep
 from knutson.errors import TableError
 from knutson.partitions import degree_hook, partitions
@@ -84,6 +85,26 @@ def with_entry(table: CharacterTable, i: int, k: int, value) -> CharacterTable:
         table.label, table.order, table.classes,
         table.irreps[:i] + (row,) + table.irreps[i + 1:], table.identity_index,
     )
+
+
+def fraction_entries(table: CharacterTable) -> set[tuple[str, str]]:
+    """(irreducible, class) labels of the entries that hold a Fraction,
+    as the value or as one of its coefficients; every other number in
+    the table, value or coefficient, must be an exact int."""
+    out = set()
+    for ir in table.irreps:
+        for cls, v in zip(table.classes, ir.values):
+            if isinstance(v, MultiQuadratic):
+                numbers = tuple(v.coeffs.values())
+            elif isinstance(v, CyclotomicTau):
+                numbers = (*v.base.values(), *v.tau.values())
+            else:
+                numbers = (v,)
+            kinds = {type(c) for c in numbers}
+            assert kinds <= {int, Fraction}, (ir.label, cls.label, kinds)
+            if Fraction in kinds:
+                out.add((ir.label, cls.label))
+    return out
 
 
 # ---------------------------------------------------------------------------

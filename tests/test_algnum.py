@@ -143,8 +143,8 @@ def test_cyclotomic_tau_sums_congruent_exponents():
 
 def test_root_of_unity_relations():
     z = CyclotomicTau.root_of_unity(5, 1)
-    power = CyclotomicTau.rational(5, 0, 1)
-    total = CyclotomicTau.rational(5, 0, 0)
+    power = CyclotomicTau(5, 0, {0: 1})
+    total = CyclotomicTau(5, 0)
     for _ in range(5):
         total = total + power
         power = power * z
@@ -179,22 +179,54 @@ def test_generic_helpers_dispatch():
             rational_value(v)
     assert not MultiQuadratic() and not CyclotomicTau(8, 0)
     assert rational_value(Fraction(5, 2)) == Fraction(5, 2)
-    assert rational_value(MultiQuadratic.from_rational(7)) == 7
+    assert rational_value(MultiQuadratic({1: 7})) == 7
     # a rational held in non-canonical form, with mixed denominators
     x = CyclotomicTau(5, 0, {e: Fraction(1, 6) for e in range(5)}) + Fraction(3, 4)
     assert x.is_rational() and rational_value(x) == Fraction(3, 4)
     assert x.canonical()[0] == (Fraction(3, 4), 0, 0, 0)
-    assert MultiQuadratic.from_rational(4) == 4
-    assert 4 == MultiQuadratic.from_rational(4)
+    assert MultiQuadratic({1: 4}) == 4
+    assert 4 == MultiQuadratic({1: 4})
     assert MultiQuadratic.sqrt(2) != 1
 
 
+def test_integral_coefficients_stay_int():
+    # an integer is held as a plain int, whichever operation made it
+    values = [
+        CyclotomicTau.root_of_unity(6, 7),
+        CyclotomicTau.root_of_unity(6, 1) * CyclotomicTau.root_of_unity(6, 2) - 3,
+        MultiQuadratic.sqrt(12),
+        MultiQuadratic.sqrt(2) * MultiQuadratic.sqrt(6) + 1,
+    ]
+    assert [v.base for v in values[:2]] == [{1: 1}, {3: 1, 0: -3}]
+    assert [v.coeffs for v in values[2:]] == [{3: 2}, {3: 2, 1: 1}]
+    for v in values:
+        coeffs = v.coeffs if isinstance(v, MultiQuadratic) else v.base
+        assert {type(c) for c in coeffs.values()} == {int}
+
+
+def test_rational_value_is_a_fraction():
+    # inner_product_rows divides it by |G|, which turns an int into a float
+    for v in (
+        3,
+        Fraction(3),
+        MultiQuadratic({1: 3}),
+        MultiQuadratic.sqrt(4) + 1,
+        CyclotomicTau(5, 0, {0: 3}),
+        CyclotomicTau(4, 0, {0: 1, 4: 2}),
+        CyclotomicTau(12, -3, None, {0: 1}) * CyclotomicTau(12, -3, None, {0: -1}),
+    ):
+        got = rational_value(v)
+        assert type(got) is Fraction and got == 3, v
+    for v in (0, MultiQuadratic(), CyclotomicTau(8, 0)):
+        assert type(rational_value(v)) is Fraction and rational_value(v) == 0
+
+
 def test_rational_values_hash_like_rationals():
-    assert len({MultiQuadratic.from_rational(4), 4}) == 1
-    assert hash(MultiQuadratic.from_rational(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert len({MultiQuadratic({1: 4}), 4}) == 1
+    assert hash(MultiQuadratic({1: Fraction(3, 2)})) == hash(Fraction(3, 2))
     assert hash(MultiQuadratic()) == hash(0)
-    assert len({CyclotomicTau.rational(5, 0, 3), 3}) == 1
-    assert hash(CyclotomicTau.rational(8, 5, Fraction(-1, 4))) == hash(Fraction(-1, 4))
+    assert len({CyclotomicTau(5, 0, {0: 3}), 3}) == 1
+    assert hash(CyclotomicTau(8, 5, {0: Fraction(-1, 4)})) == hash(Fraction(-1, 4))
     # a rational value held in non-canonical form hashes like its rational
     z = CyclotomicTau.root_of_unity(5, 1)
     total = 1 + z + z * z + z * z * z + z * z * z * z

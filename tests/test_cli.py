@@ -65,7 +65,6 @@ def test_value_round_trip():
         7,
         -3,
         10**30,
-        Fraction(5, 2),
         MultiQuadratic.sqrt(5),
         MultiQuadratic.sqrt(-3) * Fraction(1, 2) + 4,
         CyclotomicTau.root_of_unity(8, 3),
@@ -77,15 +76,18 @@ def test_value_round_trip():
 
 
 @pytest.mark.parametrize(
-    "record", [[1.5, 1], [5, 1.0], [True, 1], [1, 0]],
-    ids=["float-num", "float-den", "bool-num", "zero-den"],
+    "value", [1.5, 1.0, True, {"mq": [[1, 1, 0]]}],
+    ids=["float", "integral-float", "bool", "zero-den"],
 )
-def test_malformed_rat_record_is_a_miss(record):
+def test_malformed_integer_value_is_a_miss(value):
+    # an integer value is an exact JSON integer: 1.0 and true are not,
+    # although both equal 1, the value the entry held
     with pytest.raises((TypeError, ZeroDivisionError)):
-        value_from_json({"rat": record})
+        value_from_json(value)
     cache_store("sn-4", sn_table(4))
     payload = json.loads(_entry("sn-4")[1])
-    payload["irreps"][0]["values"][0]["rat"] = record
+    assert payload["irreps"][0]["values"][0] == 1
+    payload["irreps"][0]["values"][0] = value
     _write_entry("sn-4", payload)
     assert cache_load("sn-4") is None
 
@@ -235,8 +237,10 @@ def test_cache_malformed_file_is_a_miss(damage):
 
 
 def test_cache_ignores_v1_entries(capsys):
-    # a well-formed entry of the old format, whose table (order 25) is
-    # not the one the command prints: it is never read
+    # well-formed entries of the two old formats, neither holding the
+    # table the command prints: the v1 entry's has order 25, and the v2
+    # entry, digest line and all, holds S3 in the current schema.
+    # Neither is ever read.
     payload = table_to_json(sn_table(4))
     payload["order"] = 25
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -245,36 +249,76 @@ def test_cache_ignores_v1_entries(capsys):
         "checksum": hashlib.sha256(blob.encode()).hexdigest(),
         "table": payload,
     }).encode()
-    old = Path(cli.cache_dir()) / "sn-4.v1.json"
-    old.parent.mkdir(parents=True)
-    old.write_bytes(v1)
+    body = json.dumps(table_to_json(sn_table(3)), separators=(",", ":")).encode()
+    v2 = hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+    directory = Path(cli.cache_dir())
+    old = {directory / "sn-4.v1.json": v1, directory / "sn-4.v2.json": v2}
+    directory.mkdir(parents=True)
+    for path, blob in old.items():
+        path.write_bytes(blob)
     assert cache_load("sn-4") is None
     assert main(["table", "sn", "4"]) == 0
     cached = capsys.readouterr()
     assert main(["table", "sn", "4", "--no-cache"]) == 0
     assert cached == capsys.readouterr()
-    assert old.read_bytes() == v1
+    assert cached.out.startswith("S4  order 24\n")
+    for path, blob in old.items():
+        assert path.read_bytes() == blob
+    assert Path(cli._cache_path("sn-4")).name == "sn-4.v3.json"
     assert Path(cli._cache_path("sn-4")).is_file()
 
 
 def _first_record(obj, kind):
     """The first value record of the given kind in a table payload."""
-    return next(v[kind] for ir in obj["irreps"] for v in ir["values"] if kind in v)
+    return next(
+        v[kind] for ir in obj["irreps"] for v in ir["values"]
+        if isinstance(v, dict) and kind in v
+    )
 
 
 def _zero_order(payload):
     _first_record(payload, "cyc")["order"] = 0
 
 
+def _float_cyc_order(payload):
+    record = _first_record(payload, "cyc")
+    record["order"] = float(record["order"])
+
+
 def _rat_not_a_pair(payload):
-    payload["irreps"][0]["values"][0]["rat"] = 1
+    payload["irreps"][0]["values"][0] = {"rat": 1}
+
+
+def _leftover_rat_record(payload):
+    # the integer record of the older schema, now no value record at all
+    payload["irreps"][0]["values"][0] = {"rat": [1, 1]}
+
+
+def _float_table_order(payload):
+    payload["order"] = float(payload["order"])
+
+
+def _float_class_size(payload):
+    payload["classes"][-1][1] = float(payload["classes"][-1][1])
+
+
+def _bool_degree(payload):
+    # the trivial character's degree, 1, as true: equal to 1, but no int
+    assert payload["irreps"][0]["degree"] == 1
+    payload["irreps"][0]["degree"] = True
 
 
 def _ragged_row(payload):
     payload["irreps"][0]["values"].pop()
 
 
-@pytest.mark.parametrize("corrupt", [_zero_order, _rat_not_a_pair, _ragged_row])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _zero_order, _float_cyc_order, _rat_not_a_pair, _leftover_rat_record,
+        _float_table_order, _float_class_size, _bool_degree, _ragged_row,
+    ],
+)
 def test_undecodable_checksummed_entry_is_a_miss(corrupt, capsys):
     # the checksum matches, but the entry does not decode into a table:
     # the command rebuilds it and prints what --no-cache prints
@@ -442,10 +486,31 @@ def test_main_knutson_single_char(capsys):
     assert obj["index"] in (1, 2)
 
 
-def test_main_verify_cores(capsys):
+def test_main_verify_cores(capsys, monkeypatch):
+    # the brute force decides all six t in one pass over partitions(n)
+    # for each n <= 40; the report is pinned as a whole
+    calls, enumerate_partitions = [], cli.partitions
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_partitions(n)
+
+    monkeypatch.setattr(cli, "partitions", counted)
     assert main(["verify", "cores"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["pass"] is True
+    assert sorted(calls) == list(range(41))
+    names = (
+        "count_t_cores(n,3) == sigma3(3n+1), n <= 60",
+        "exists_t_core fast paths == brute force, n <= 40",
+        "quadform theorem, n <= 2000",
+    )
+    assert json.loads(capsys.readouterr().out) == {
+        "suite": "cores",
+        "pass": True,
+        "checks": [
+            {"name": name, "pass": True, "expected": [], "found": []}
+            for name in names
+        ],
+    }
 
 
 @pytest.mark.parametrize("broken", [False, True])

@@ -20,7 +20,7 @@ from knutson.sl2tables import (
 )
 from knutson.symchar import an_table, sn_table
 
-from oracles import with_entry
+from oracles import fraction_entries, with_entry
 from sl2_entries import SL2_CLASSES, SL2_ENTRIES
 from sl2_rho_rows import RHO_ROWS
 
@@ -94,6 +94,17 @@ def test_sl2_even_structure(q):
     want = {1, q, q - 1} | ({q + 1} if q >= 4 else set())
     assert sorted(set(table.degrees)) == sorted(want)
     table.check_orthogonality()
+
+
+@pytest.mark.parametrize("q", (8, 16, *ODD_QS))
+def test_fractions_only_in_the_halves(q):
+    # every coefficient is an int, except the halves (+/-1 +/- tau) / 2
+    # of the odd-q characters xi and eta on the unipotent classes
+    halves = {
+        (ir, c) for ir in ("xi1", "xi2", "eta1", "eta2")
+        for c in ("c", "d", "zc", "zd")
+    }
+    assert fraction_entries(sl2_table(q)) == (set() if q % 2 == 0 else halves)
 
 
 def test_sl2_2_is_s3():

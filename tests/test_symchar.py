@@ -4,7 +4,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from oracles import class_has_zero_scan, with_entry
+from oracles import class_has_zero_scan, fraction_entries, with_entry
 
 from knutson.algnum import MultiQuadratic, rational_value
 from knutson.errors import CapExceededError, TableError
@@ -117,6 +117,25 @@ def test_sn_table_structure():
 def test_sn_table_cap():
     with pytest.raises(CapExceededError):
         sn_table(23)
+
+
+def test_integer_values_are_ints():
+    # an integer is held in one form, a bare int; a Fraction appears
+    # only in the split values (e +/- sqrt(e * prod hooks)) / 2 of A_n,
+    # on a split class and a split character
+    for n in range(1, 13):
+        assert all(type(v) is int for ir in sn_table(n).irreps for v in ir.values)
+    for n in range(3, 13):
+        table = an_table(n)
+        split = {
+            (ir.label, c.label)
+            for ir in table.irreps
+            for c, v in zip(table.classes, ir.values)
+            if isinstance(v, MultiQuadratic)
+        }
+        assert fraction_entries(table) == split
+        assert all(a[-1] in "+-" and b[-1] in "+-" for a, b in split)
+        assert split, n
 
 
 def test_an_table_small_degrees():
