@@ -34,7 +34,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from .numtheory import factorize
 
@@ -406,11 +406,16 @@ class CyclotomicTau:
         return not (self - o)
 
     def __hash__(self):
-        cb, ct = self.canonical()
-        if not any(ct) and not any(cb[1:]):
+        (vb, db), (vt, dt) = self._reduced()
+        if not any(vt) and not any(vb[1:]):
             # A rational value must hash like the int or Fraction it equals.
-            return hash(cb[0])
-        return hash((self.m, self.tau_sq, cb, ct))
+            return hash(Fraction(vb[0], db))
+        gb, gt = gcd(db, *vb), gcd(dt, *vt)  # lowest terms
+        return hash((
+            self.m, self.tau_sq,
+            tuple(v // gb for v in vb), db // gb,
+            tuple(v // gt for v in vt), dt // gt,
+        ))
 
     def __repr__(self):
         def fmt(comp, suffix=""):

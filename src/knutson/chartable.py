@@ -40,6 +40,8 @@ class CharacterTable:
     identity_index: int = 0
     _fusion_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _residue_rows: tuple | None = field(default=None, repr=False, compare=False)
+    # knutsonlat's d per zero set; None until the first such index
+    _zero_set_d: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.classes = tuple(self.classes)

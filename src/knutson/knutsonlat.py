@@ -3,10 +3,27 @@
 One engine serves every lattice question: the Hermite normal form over
 Z of the lattice spanned by a matrix's columns, with the transform
 tracked.  Solving a vector against that echelon basis over Q gives the
-least n with n*v in the lattice -- the per-character Knutson index when
-M is chi's fusion matrix and v = rho_reg -- and an integer solution of
-M*x = b when n is 1.  Everything is arbitrary precision; every witness
-is re-verified before it is used.
+least n with n*v in the lattice, and an integer solution of M*x = b
+when n is 1.  Everything is arbitrary precision; every witness is
+re-verified before it is used.
+
+The Knutson index K(chi) is the least n with chi (x) lambda = n*rho_reg
+for a virtual character lambda.  That holds exactly when lambda vanishes
+on supp(chi) minus the identity and lambda(1) = n*|G|/chi(1), so
+
+    K(chi) = d / gcd(d, |G|/chi(1)),
+
+where d is the gcd of lambda(1) over the virtual lambda vanishing on
+supp(chi) minus the identity.  d depends only on chi's zero set.  The
+index takes one of two routes, by the kind of the table's values:
+
+* no CyclotomicTau value (S_n, A_n): d is the least multiplier of e_last
+  against the integer rows of chi's support columns and the degree row,
+  memoised per zero set on the table, once its row orthogonality holds;
+* otherwise (SL2, PSL2): K is the least multiplier of rho_reg against
+  chi's fusion matrix.  For odd q tau lies in Q(zeta_m), so the base
+  and tau coordinates of a value are no basis, and rows of phi(m)
+  coordinates would be slower than the fusion matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .algnum import CyclotomicTau, MultiQuadratic
 from .chartable import CharacterTable, zero_in_every_nontrivial_column
 from .charring import VirtualCharacter, fusion_matrix
 from .errors import CapExceededError
@@ -25,9 +43,9 @@ Matrix = list[list[int]]
 RHO_SEARCH_MAX_ORDER = 60
 
 # Most classes a table may have for knutson_index_char.  The cost grows
-# fast with the class count k: whole-group indices took 5.2 s for A14
-# (k = 72), 16.8 s for A15 (k = 94) and 19.9 s for S13 (k = 101); S14
-# (k = 135) and beyond run for minutes or hours.
+# fast with the class count k: whole-group indices took 3.2 s for A14
+# (k = 72), 10.0 s for A15 (k = 94), 7.1 s for S13 (k = 101) and, with
+# the cap lifted, 25.2 s for S14 (k = 135), in process on a 2-core host.
 INDEX_MAX_CLASSES = 101
 
 
@@ -165,17 +183,93 @@ def check_index_cap(label: str, classes: int) -> None:
         )
 
 
+def _class_rows(table: CharacterTable, k: int) -> list[list[int]]:
+    """Integer rows R with sum_i x_i chi_i(k) = 0 exactly when R*x = 0.
+
+    An all-int column (chi_i(k))_i is its own row.  Otherwise the column
+    is split by MultiQuadratic radicand, one row of coefficients per
+    radicand scaled by the lcm of their denominators; the square roots
+    of distinct squarefree integers are linearly independent over Q.
+    """
+    column = [ir.values[k] for ir in table.irreps]
+    if all(type(v) is int for v in column):
+        return [column]
+    parts: dict[int, list] = {}
+    for i, v in enumerate(column):
+        coeffs = v.coeffs if isinstance(v, MultiQuadratic) else {1: v}
+        for d, c in coeffs.items():
+            parts.setdefault(d, [0] * len(column))[i] = c
+    rows = []
+    for part in parts.values():
+        den = lcm(*(c.denominator for c in part))
+        rows.append([c.numerator * (den // c.denominator) for c in part])
+    return rows
+
+
+def _zero_set_memo(table: CharacterTable) -> dict | None:
+    """The table's d per zero set, or None when it has a CyclotomicTau value.
+
+    The memo is made on first use, after the table's row orthogonality
+    is checked: with no fusion matrix built, nothing else guards the
+    values the indices are read from.
+    """
+    if table._zero_set_d is None:
+        if any(
+            isinstance(v, CyclotomicTau) for ir in table.irreps for v in ir.values
+        ):
+            return None
+        table.check_orthogonality()
+        table._zero_set_d = {}
+    return table._zero_set_d
+
+
+def _support_multiplier(table: CharacterTable, chi: int, memo: dict) -> int:
+    """d: the gcd of lambda(1) over the virtual lambda vanishing on
+    supp(chi) minus the identity, one HNF solve per zero set of chi.
+
+    M has the integer rows of every class in that support, then the
+    degrees; M*x = d*e_last says lambda = sum x_i chi_i vanishes there
+    and lambda(1) = d, and min_multiplier re-verifies that witness.
+    """
+    values = table.irreps[chi].values
+    zeros = tuple(k for k, v in enumerate(values) if not v)
+    d = memo.get(zeros)
+    if d is None:
+        m = [
+            row
+            for k, v in enumerate(values)
+            if v and k != table.identity_index
+            for row in _class_rows(table, k)
+        ]
+        m.append(list(table.degrees))
+        d = min_multiplier(m, [0] * (len(m) - 1) + [1])
+        if d is None:
+            raise AssertionError("no multiple of rho_reg is attainable")
+        memo[zeros] = d
+    return d
+
+
 def knutson_index_char(table: CharacterTable, chi: int) -> int:
     """Least n such that chi is n*rho_reg-invertible.
 
-    Tables with more than INDEX_MAX_CLASSES classes raise
-    CapExceededError before any fusion matrix is built.
+    From chi's zero set when no value is a CyclotomicTau (module
+    docstring), else from chi's fusion matrix.  Tables with more than
+    INDEX_MAX_CLASSES classes raise CapExceededError before either.
     """
     check_index_cap(table.label, len(table.classes))
-    n = min_multiplier(fusion_matrix(table, chi), list(table.degrees))
-    if n is None:
-        raise AssertionError("no multiple of rho_reg is attainable")
-    if table.irreps[chi].degree % n:
+    degree = table.irreps[chi].degree
+    memo = _zero_set_memo(table)
+    if memo is None:
+        n = min_multiplier(fusion_matrix(table, chi), list(table.degrees))
+        if n is None:
+            raise AssertionError("no multiple of rho_reg is attainable")
+    else:
+        d = _support_multiplier(table, chi, memo)
+        cofactor = table.order // degree
+        n = d // gcd(d, cofactor)
+        if n * cofactor % d:
+            raise AssertionError("d does not divide K*|G|/chi(1)")
+    if degree % n:
         # chi (x) rho_reg = chi(1) rho_reg, so the index divides chi(1)
         raise AssertionError("Knutson index does not divide the degree")
     return n

@@ -185,6 +185,31 @@ def min_multiplier_sympy(m: Matrix, v: list[int]) -> int | None:
     return lcm(*(int(entry.q) for entry in y))
 
 
+def zero_set_multiplier_dual(table: CharacterTable, chi: int) -> int:
+    """d for chi in the dual form, on a table of int values: the least
+    lambda(1) > 0 over the virtual characters lambda supported on {1}
+    and the zeros Z of chi.
+
+    lambda = sum a_g delta_g (delta_g the indicator of class g) is a
+    virtual character exactly when every <lambda, chi_i> is an integer,
+    i.e. sum_g a_g |C_g| chi_i(g) = 0 mod |G| for every i.  So d is the
+    least n with n times the column of the identity, (chi_i(1))_i, in
+    the integer span of the columns (|C_g| chi_i(g))_i for g in Z and
+    |G| I; sympy's Hermite form solves that."""
+    values = table.irreps[chi].values
+    if not all(type(v) is int for ir in table.irreps for v in ir.values):
+        raise ValueError("the dual form needs a table of int values")
+    k = len(table.irreps)
+    columns = [
+        [table.classes[g].size * ir.values[g] for ir in table.irreps]
+        for g in range(len(values))
+        if values[g] == 0
+    ]
+    columns += [[table.order * (i == j) for i in range(k)] for j in range(k)]
+    m = [[col[i] for col in columns] for i in range(k)]
+    return min_multiplier_sympy(m, list(table.degrees))
+
+
 def partitions_recursive(n: int, max_part: int | None = None):
     """The partitions of n with parts at most max_part, in reverse
     lexicographic order: a largest part k, then the partitions of n - k

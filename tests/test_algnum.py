@@ -235,6 +235,32 @@ def test_rational_values_hash_like_rationals():
     assert hash(tau * tau) == hash(-3)
 
 
+def test_equal_cyclotomic_values_hash_equal():
+    # equal values held in different forms: zeta_5/2 + zeta_5^2/3 against
+    # the same with zeta_5 = -(1 + zeta_5^2 + zeta_5^3 + zeta_5^4), and a
+    # zeta-sum over a common denominator 2 that reduces to zeta_5 alone
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    pairs = [
+        (
+            CyclotomicTau(5, 0, {1: half, 2: third}),
+            CyclotomicTau(5, 0, {0: -half, 2: Fraction(-1, 6), 3: -half, 4: -half}),
+        ),
+        (
+            CyclotomicTau(5, 0, {0: half, 1: Fraction(3, 2), 2: half, 3: half, 4: half}),
+            CyclotomicTau.root_of_unity(5, 1),
+        ),
+        (
+            CyclotomicTau(12, -3, {1: third}, {0: half, 6: half, 3: 1}),
+            CyclotomicTau(12, -3, {1: third}, {3: 1}),
+        ),
+        (CyclotomicTau(4, 0, {0: 1, 4: -1}), CyclotomicTau(4, 0)),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y), (x, y)
+    assert hash(CyclotomicTau(4, 0, {0: 1, 4: -1})) == hash(0)
+    assert hash(pairs[2][0]) != hash(pairs[2][0] + 1)
+
+
 def test_multiquadratic_reduces_radicands():
     root4 = MultiQuadratic({4: Fraction(1)})
     assert root4 == 2 and root4.is_rational() and hash(root4) == hash(2)

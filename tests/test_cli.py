@@ -668,7 +668,8 @@ def test_exit_code_verification_failure(capsys, monkeypatch, exc):
 
 
 def test_exit_code_fusion_range_check(capsys, monkeypatch):
-    # one value of S4 raised by 1: validate_basic passes, fusion does not
+    # one value of S4 raised by 1: validate_basic passes, and the row
+    # orthogonality checked before the first zero-set index fails
     good = sn_table(4)
     ir = good.irreps[1]
     bad_row = Irrep(ir.label, ir.degree, (ir.values[0] + 1,) + ir.values[1:])
@@ -680,6 +681,18 @@ def test_exit_code_fusion_range_check(capsys, monkeypatch):
     assert main(["knutson", "sn", "4", "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: verification failed") and err.count("\n") == 1
+
+
+def test_exit_code_fusion_range_check_sl2(capsys, monkeypatch):
+    # one value of SL2(5) raised by 1: its indices keep the fusion path,
+    # whose range check is the guard
+    good = sl2_table(5)
+    bad = with_entry(good, 1, 2, good.irreps[1].values[2] + 1)
+    monkeypatch.setattr(cli, "sl2_table", lambda q: bad)
+    assert main(["knutson", "sl2", "5", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: verification failed") and err.count("\n") == 1
+    assert "out of range" in err
 
 
 def test_irrational_identity_value_exits_1(capsys, monkeypatch):

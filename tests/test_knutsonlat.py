@@ -4,11 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import _rank, min_multiplier_sympy, snf_solvable
+from oracles import (
+    _rank,
+    min_multiplier_sympy,
+    snf_solvable,
+    with_entry,
+    zero_set_multiplier_dual,
+)
 
 from knutson import knutsonlat
 from knutson.charring import VirtualCharacter, fusion_matrix, regular_character
-from knutson.errors import CapExceededError
+from knutson.errors import CapExceededError, TableError
 from knutson.knutsonlat import (
     INDEX_MAX_CLASSES,
     RHO_SEARCH_MAX_ORDER,
@@ -218,11 +224,15 @@ def test_min_rho_search_cap(monkeypatch):
 
 
 def test_knutson_index_cap(monkeypatch):
-    # the cap is checked before any fusion matrix is built
+    # the cap is checked before any fusion matrix or lattice is built
     def no_fusion(*args):
         raise AssertionError("fusion matrix built past the cap")
 
+    def no_lattice(*args):
+        raise AssertionError("lattice solved past the cap")
+
     monkeypatch.setattr(knutsonlat, "fusion_matrix", no_fusion)
+    monkeypatch.setattr(knutsonlat, "min_multiplier", no_lattice)
     table = sn_table(14)
     assert len(table.classes) > INDEX_MAX_CLASSES
     with pytest.raises(CapExceededError, match="exceeds cap"):
@@ -241,3 +251,78 @@ def test_fusion_matrix_determinant_structure():
     for a, ir in enumerate(table.irreps):
         singular = _rank(fusion_matrix(table, a)) < len(table.irreps)
         assert singular == any(v == 0 for v in ir.values)
+
+
+def _zero_set(table, chi):
+    return tuple(k for k, v in enumerate(table.irreps[chi].values) if not v)
+
+
+def test_zero_set_index_matches_fusion_path():
+    # K from chi's zero set equals the least n with n*rho_reg in the
+    # column lattice of chi's fusion matrix
+    tables = [sn_table(n) for n in range(1, 12)] + [an_table(n) for n in range(3, 13)]
+    for table in tables:
+        degrees = list(table.degrees)
+        for i in range(len(table.irreps)):
+            want = min_multiplier(fusion_matrix(table, i), degrees)
+            assert knutson_index_char(table, i) == want, (table.label, i)
+    a12 = tables[-1]
+    assert [knutson_index_char(a12, i) for i in range(len(a12.irreps))].count(2) == 1
+
+
+def test_zero_set_multiplier_matches_dual_oracle():
+    # d, the gcd of lambda(1) over the lambda vanishing on supp(chi)
+    # minus the identity, is memoised once per zero set; it equals the
+    # dual form's solve over class functions supported on {1} and Z
+    ds = set()
+    for n in range(1, 9):
+        table = sn_table(n)
+        knutson_index_group(table)
+        memo = table._zero_set_d
+        zero_sets = {_zero_set(table, i) for i in range(len(table.irreps))}
+        assert set(memo) == zero_sets
+        for i in range(len(table.irreps)):
+            d = memo[_zero_set(table, i)]
+            assert d == zero_set_multiplier_dual(table, i), (table.label, i)
+            assert table.order % d == 0
+            ds.add(d)
+    # every K(S_n) is 1, so the comparison rests on d, which takes many
+    # values: S6 alone has 45, 72, 80, 144 and 720
+    assert ds >= {45, 72, 80, 144, 720} and len(ds) > 25
+
+
+def test_sn_and_an_indices_build_no_fusion_matrix(monkeypatch):
+    def no_fusion(table, a):
+        raise AssertionError(f"fusion matrix built for {table.label}")
+
+    monkeypatch.setattr(knutsonlat, "fusion_matrix", no_fusion)
+    for table in (sn_table(7), an_table(7), an_table(12)):
+        knutson_index_group(table)
+    # a table with a CyclotomicTau value keeps the fusion path
+    built = []
+
+    def counted(table, a):
+        built.append(a)
+        return fusion_matrix(table, a)
+
+    monkeypatch.setattr(knutsonlat, "fusion_matrix", counted)
+    table = sl2_table(5)
+    assert knutson_index_group(table) == 2
+    assert built == list(range(len(table.irreps)))
+    assert table._zero_set_d is None
+
+
+@pytest.mark.parametrize("build", (sn_table, an_table))
+def test_corrupted_table_raises_after_good_indices(build):
+    # the orthogonality check runs once per table, so a corrupted copy
+    # is checked although its source table's indices are memoised
+    good = build(6)
+    assert knutson_index_group(good) == 1
+    k = next(
+        k for k, v in enumerate(good.irreps[1].values)
+        if v and k != good.identity_index
+    )
+    bad = with_entry(good, 1, k, good.irreps[1].values[k] + 1)
+    with pytest.raises(TableError):
+        knutson_index_char(bad, 0)
+    assert knutson_index_group(good) == 1

@@ -2,9 +2,10 @@
 
 perfbench/tracer.py wraps every public layer function and, after each
 command, reads `symchar.mn_value.cache_info()`; its cache observers
-call `cli._cache_path` and read what `cli.cache_load` returns.  A
-package change that drops that memo or renames a traced function breaks
-every traced run.
+call `cli._cache_path` and read what `cli.cache_load` returns, and its
+fusion observer reads `CharacterTable._fusion_cache`.  A package change
+that drops that memo or renames a traced function breaks every traced
+run.
 """
 
 import json
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from knutson.symchar import sn_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +54,22 @@ def test_tracer_observes_the_table_cache(tmp_path):
     warm = _trace(tmp_path, *argv)
     assert warm["counters"]["cli.cache_load.hits"] == 1
     assert "cli.cache_store.bytes" not in warm["counters"]
+
+
+def test_tracer_sees_sn_indices_from_zero_sets(tmp_path):
+    # S_n indices build no fusion matrix and solve one lattice per
+    # distinct zero set of a character
+    record = _trace(tmp_path, "knutson", "sn", "6", "--no-cache")
+    stats = record["stats"]
+    assert stats.get("charring.fusion_matrix", [0])[0] == 0
+    table = sn_table(6)
+    zero_sets = {
+        tuple(k for k, v in enumerate(ir.values) if not v) for ir in table.irreps
+    }
+    assert len(zero_sets) < len(table.irreps)
+    assert stats["knutsonlat.min_multiplier"][0] == len(zero_sets)
+
+
+def test_tracer_counts_sl2_fusion_matrices(tmp_path):
+    record = _trace(tmp_path, "knutson", "sl2", "5")
+    assert record["counters"]["charring.fusion.misses"] > 0
