@@ -19,8 +19,10 @@ Plain int and fractions.Fraction mix freely with both via the arithmetic
 dunders, and both types answer the number protocol that int and Fraction
 already follow: v.conjugate() is the complex conjugate, bool(v) says
 whether v is non-zero, and complex(v) is a floating-point approximation.
-Callers therefore never ask which kind of value they hold; the one
-helper, rational_value, returns the exact rational content of any kind.
+Callers therefore never ask which kind of value they hold.  Two helpers
+cover the rest: rational_value returns the exact rational content of any
+kind, and integer_rows writes a sequence of values over a Q-basis, as
+integer rows; it is the one place that knows each kind's basis.
 
 ResidueField is a ring homomorphism from such values into F_p for one
 large prime p; calling it maps a value of any of the four kinds.  It
@@ -370,12 +372,6 @@ class CyclotomicTau:
         """Base and tau components reduced mod Phi_m, each as (v, den)."""
         return _reduce(self.m, self.base), _reduce(self.m, self.tau)
 
-    def canonical(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """Components reduced mod Phi_m: vectors of length phi(m)."""
-        return tuple(
-            tuple(Fraction(v, den) for v in vec) for vec, den in self._reduced()
-        )
-
     def __bool__(self) -> bool:
         return any(_reduce(self.m, self.base)[0]) or any(_reduce(self.m, self.tau)[0])
 
@@ -432,6 +428,90 @@ def rational_value(x) -> Fraction:
     if isinstance(x, _RATIONAL_TYPES):
         return Fraction(x)
     return x.rational_value()
+
+
+def integer_rows(values) -> list[list[int]]:
+    """Integer rows R with sum_i x_i*v_i = 0 exactly when R*x = 0.
+
+    The rows are the coordinates of the v_i over a Q-basis of a field
+    that holds them all, each value's coordinates scaled to integers by
+    one common denominator.  An all-int sequence is its own row.  A
+    MultiQuadratic value has one coordinate per radicand: the square
+    roots of distinct squarefree integers are linearly independent over
+    Q.  CyclotomicTau values are written in the least field they need
+    (_cyclotomic_coordinates).  All-zero rows are dropped.
+    """
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return [values]
+    if any(isinstance(v, CyclotomicTau) for v in values):
+        coords = _cyclotomic_coordinates(values)
+    else:
+        coords = _radicand_coordinates(values)
+    den = lcm(*(d for _, d in coords))
+    scaled = [[x * (den // d) for x in vec] for vec, d in coords]
+    return [list(row) for row in zip(*scaled) if any(row)]
+
+
+def _radicand_coordinates(values: list) -> list[tuple[list[int], int]]:
+    """Each value's coefficients of sqrt(d), one d per radicand in use."""
+    parts = []
+    for v in values:
+        if isinstance(v, MultiQuadratic):
+            parts.append(v.coeffs)
+        elif isinstance(v, _RATIONAL_TYPES):
+            parts.append({1: v})
+        else:
+            raise TypeError(f"no radicand coordinates for {v!r}")
+    radicands = sorted({d for coeffs in parts for d in coeffs})
+    out = []
+    for coeffs in parts:
+        cs = [coeffs.get(d, 0) for d in radicands]
+        den = lcm(1, *(c.denominator for c in cs))
+        out.append(([c.numerator * (den // c.denominator) for c in cs], den))
+    return out
+
+
+def _cyclotomic_coordinates(values: list) -> list[tuple[list[int], int]]:
+    """Each value's coordinates over zeta_n^i and zeta_n^i*tau, i < phi(n).
+
+    n = m / gcd(m, every exponent in use), so the values lie in
+    Q(zeta_n) + Q(zeta_n)*tau.  tau = s*sqrt(d) with d squarefree.  When
+    d = 1, tau is the integer s (the root complex() takes) and only the
+    zeta_n^i remain.  Otherwise 1 and tau are independent over Q(zeta_n)
+    unless Q(sqrt(d)) lies in Q(zeta_n), that is unless its conductor,
+    |d| or 4|d|, divides n; that raises ValueError.  Ints and Fractions
+    are rational base parts; mixed (m, tau^2) contexts raise ValueError.
+    """
+    first = next(v for v in values if isinstance(v, CyclotomicTau))
+    m, tau_sq = first.m, first.tau_sq
+    step = m
+    for v in values:
+        if isinstance(v, CyclotomicTau):
+            first._coerce(v)
+            step = gcd(step, *v.base, *v.tau)
+        elif not isinstance(v, _RATIONAL_TYPES):
+            raise TypeError(f"no cyclotomic coordinates for {v!r}")
+    n = m // step
+    s, d = squarefree_decompose(tau_sq) if tau_sq else (0, 0)
+    if d not in (0, 1) and n % (abs(d) if d % 4 == 1 else 4 * abs(d)) == 0:
+        raise ValueError(f"tau = sqrt({tau_sq}) lies in Q(zeta_{n})")
+    out = []
+    for v in values:
+        if isinstance(v, CyclotomicTau):
+            base = {e // step: c for e, c in v.base.items()}
+            tau = {e // step: c for e, c in v.tau.items()}
+        else:
+            base, tau = {0: v}, {}
+        if d == 1 and tau:
+            base = CyclotomicTau._dadd(base, {e: s * c for e, c in tau.items()})
+            tau = {}
+        (vb, db), (vt, dt) = _reduce(n, base), _reduce(n, tau)
+        den = lcm(db, dt)
+        out.append((
+            [x * (den // db) for x in vb] + [x * (den // dt) for x in vt], den
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------

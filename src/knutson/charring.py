@@ -7,8 +7,9 @@ N * chi_b(1) <= chi_a(1) * chi_c(1), so it is read off exactly from its
 image under one ring homomorphism phi from the table's values into F_p
 (algnum.ResidueField), for a prime p above that bound and above |G|.
 Each table's values are mapped once; every fusion matrix is then plain
-integer dot products mod p, cached on the table, since Knutson-index
-runs touch every character.
+integer dot products mod p, cached on the table.  They serve the rho
+machinery (is_rho_invertible, the printed rho-inverse rows and
+min_rho_search); Knutson indices are read from zero sets instead.
 """
 
 from __future__ import annotations

@@ -40,8 +40,12 @@ class CharacterTable:
     identity_index: int = 0
     _fusion_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _residue_rows: tuple | None = field(default=None, repr=False, compare=False)
-    # knutsonlat's d per zero set; None until the first such index
+    # knutsonlat's integer rows per class and d per zero set; None until
+    # the first index
+    _class_rows: tuple | None = field(default=None, repr=False, compare=False)
     _zero_set_d: dict | None = field(default=None, repr=False, compare=False)
+    # set by the first check_orthogonality that passes
+    _orthogonal: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.classes = tuple(self.classes)
@@ -99,6 +103,9 @@ class CharacterTable:
     def check_orthogonality(self) -> None:
         """Exact row orthogonality; raises TableError on failure.
 
+        A pass is recorded on the table, so a second call returns at
+        once: a table's rows are not changed after it is built.
+
         The column relations follow and are not checked separately
         (second orthogonality from the first, Isaacs, Character Theory
         of Finite Groups, Thm 2.18).  validate_basic makes the table X
@@ -108,6 +115,8 @@ class CharacterTable:
         commutative ring containing Q with conj a ring involution: ints,
         MultiQuadratic and CyclotomicTau's formal Q(zeta_m)[tau] alike.
         """
+        if self._orthogonal:
+            return
         n = len(self.irreps)
         for i in range(n):
             for j in range(i, n):
@@ -118,6 +127,7 @@ class CharacterTable:
                     raise TableError(f"{exc} at <{x.label},{y.label}>") from None
                 if got != (1 if i == j else 0):
                     raise TableError(f"{self.label}: <{x.label},{y.label}> = {got}")
+        self._orthogonal = True
 
 
 def zero_in_every_nontrivial_column(table: CharacterTable) -> bool:

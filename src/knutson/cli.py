@@ -29,12 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algnum import CyclotomicTau, MultiQuadratic
-from .chartable import (
-    CharacterTable,
-    ConjClass,
-    Irrep,
-    zero_in_every_nontrivial_column,
-)
+from .chartable import CharacterTable, ConjClass, Irrep
 from .errors import CapExceededError, TableError
 from .knutsonlat import (
     check_index_cap,
@@ -42,6 +37,7 @@ from .knutsonlat import (
     knutson_index_char,
     knutson_index_group,
     min_rho_search,
+    zero_column_criterion,
 )
 from .numtheory import is_loeschian, quadform_xxyy, sigma3
 from .partitions import (
@@ -312,9 +308,6 @@ def cmd_knutson(args) -> int:
         check_index_cap(f"{args.kind[0].upper()}{args.param}", len(classes))
     table = get_table(args.kind, args.param, use_cache=not args.no_cache)
     report: dict = {"group": table.label, "order": table.order}
-    # Each per-character index is computed at most once: the group index
-    # is their lcm, and the zero-column criterion reuses it.
-    indices: dict[int, int] = {}
     if args.char is not None:
         try:
             idx = table.irrep_index(args.char)
@@ -322,26 +315,19 @@ def cmd_knutson(args) -> int:
             raise UsageError(
                 f"unknown character {args.char!r} for {table.label}"
             ) from None
-        indices[idx] = knutson_index_char(table, idx)
         report["character"] = args.char
-        report["index"] = indices[idx]
+        report["index"] = knutson_index_char(table, idx)
     else:
-        indices = {
-            i: knutson_index_char(table, i) for i in range(len(table.irreps))
-        }
+        indices = [knutson_index_char(table, i) for i in range(len(table.irreps))]
         report["per_character"] = {
-            ir.label: indices[i] for i, ir in enumerate(table.irreps)
+            ir.label: k for ir, k in zip(table.irreps, indices)
         }
-        report["knutson_index"] = lcm(*indices.values())
+        report["knutson_index"] = lcm(*indices)
     report["L"] = table.degree_lcm()
     bound = generalized_lower_bound(table)
     report["generalized_lower_bound"] = f"{bound}"
-    zc = None
-    if zero_in_every_nontrivial_column(table):
-        zc = lcm(*(
-            indices[i] if i in indices else knutson_index_char(table, i)
-            for i in range(len(table.irreps))
-        ))
+    # d is memoised per zero set, so the criterion's indices cost no solve
+    zc = zero_column_criterion(table)
     report["zero_column_criterion"] = (
         None if zc is None else {"certified_K_prime_equals_K": zc}
     )

@@ -14,16 +14,12 @@ on supp(chi) minus the identity and lambda(1) = n*|G|/chi(1), so
     K(chi) = d / gcd(d, |G|/chi(1)),
 
 where d is the gcd of lambda(1) over the virtual lambda vanishing on
-supp(chi) minus the identity.  d depends only on chi's zero set.  The
-index takes one of two routes, by the kind of the table's values:
-
-* no CyclotomicTau value (S_n, A_n): d is the least multiplier of e_last
-  against the integer rows of chi's support columns and the degree row,
-  memoised per zero set on the table, once its row orthogonality holds;
-* otherwise (SL2, PSL2): K is the least multiplier of rho_reg against
-  chi's fusion matrix.  For odd q tau lies in Q(zeta_m), so the base
-  and tau coordinates of a value are no basis, and rows of phi(m)
-  coordinates would be slower than the fusion matrix.
+supp(chi) minus the identity.  d depends only on chi's zero set, and
+every table takes the one route: d is the least multiplier of e_last
+against the integer rows of chi's support columns (algnum.integer_rows)
+and the degree row, one solve per distinct zero set, memoised on the
+table once its row orthogonality holds.  Fusion matrices serve only
+rho-invertibility.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algnum import CyclotomicTau, MultiQuadratic
+from .algnum import integer_rows
 from .chartable import CharacterTable, zero_in_every_nontrivial_column
 from .charring import VirtualCharacter, fusion_matrix
 from .errors import CapExceededError
@@ -183,63 +179,36 @@ def check_index_cap(label: str, classes: int) -> None:
         )
 
 
-def _class_rows(table: CharacterTable, k: int) -> list[list[int]]:
-    """Integer rows R with sum_i x_i chi_i(k) = 0 exactly when R*x = 0.
-
-    An all-int column (chi_i(k))_i is its own row.  Otherwise the column
-    is split by MultiQuadratic radicand, one row of coefficients per
-    radicand scaled by the lcm of their denominators; the square roots
-    of distinct squarefree integers are linearly independent over Q.
-    """
-    column = [ir.values[k] for ir in table.irreps]
-    if all(type(v) is int for v in column):
-        return [column]
-    parts: dict[int, list] = {}
-    for i, v in enumerate(column):
-        coeffs = v.coeffs if isinstance(v, MultiQuadratic) else {1: v}
-        for d, c in coeffs.items():
-            parts.setdefault(d, [0] * len(column))[i] = c
-    rows = []
-    for part in parts.values():
-        den = lcm(*(c.denominator for c in part))
-        rows.append([c.numerator * (den // c.denominator) for c in part])
-    return rows
-
-
-def _zero_set_memo(table: CharacterTable) -> dict | None:
-    """The table's d per zero set, or None when it has a CyclotomicTau value.
-
-    The memo is made on first use, after the table's row orthogonality
-    is checked: with no fusion matrix built, nothing else guards the
-    values the indices are read from.
-    """
-    if table._zero_set_d is None:
-        if any(
-            isinstance(v, CyclotomicTau) for ir in table.irreps for v in ir.values
-        ):
-            return None
-        table.check_orthogonality()
-        table._zero_set_d = {}
-    return table._zero_set_d
-
-
-def _support_multiplier(table: CharacterTable, chi: int, memo: dict) -> int:
+def _support_multiplier(table: CharacterTable, chi: int) -> int:
     """d: the gcd of lambda(1) over the virtual lambda vanishing on
     supp(chi) minus the identity, one HNF solve per zero set of chi.
 
     M has the integer rows of every class in that support, then the
     degrees; M*x = d*e_last says lambda = sum x_i chi_i vanishes there
     and lambda(1) = d, and min_multiplier re-verifies that witness.
+    The rows of each class and d per zero set are memoised on the table
+    on first use, after its row orthogonality is checked: no fusion
+    matrix is built, so nothing else guards the values the indices are
+    read from.
     """
-    values = table.irreps[chi].values
-    zeros = tuple(k for k, v in enumerate(values) if not v)
+    memo = table._zero_set_d
+    if memo is None:
+        table.check_orthogonality()
+        table._class_rows = tuple(
+            integer_rows(ir.values[k] for ir in table.irreps)
+            for k in range(len(table.classes))
+        )
+        memo = table._zero_set_d = {}
+    # chi vanishes on class k exactly when column chi of its rows does
+    rows = table._class_rows
+    zeros = tuple(k for k, rk in enumerate(rows) if not any(r[chi] for r in rk))
     d = memo.get(zeros)
     if d is None:
         m = [
-            row
-            for k, v in enumerate(values)
-            if v and k != table.identity_index
-            for row in _class_rows(table, k)
+            r
+            for k, rk in enumerate(rows)
+            if k not in zeros and k != table.identity_index
+            for r in rk
         ]
         m.append(list(table.degrees))
         d = min_multiplier(m, [0] * (len(m) - 1) + [1])
@@ -250,25 +219,17 @@ def _support_multiplier(table: CharacterTable, chi: int, memo: dict) -> int:
 
 
 def knutson_index_char(table: CharacterTable, chi: int) -> int:
-    """Least n such that chi is n*rho_reg-invertible.
-
-    From chi's zero set when no value is a CyclotomicTau (module
-    docstring), else from chi's fusion matrix.  Tables with more than
-    INDEX_MAX_CLASSES classes raise CapExceededError before either.
+    """Least n such that chi is n*rho_reg-invertible, from chi's zero set
+    (module docstring).  Tables with more than INDEX_MAX_CLASSES classes
+    raise CapExceededError before any lattice is built.
     """
     check_index_cap(table.label, len(table.classes))
     degree = table.irreps[chi].degree
-    memo = _zero_set_memo(table)
-    if memo is None:
-        n = min_multiplier(fusion_matrix(table, chi), list(table.degrees))
-        if n is None:
-            raise AssertionError("no multiple of rho_reg is attainable")
-    else:
-        d = _support_multiplier(table, chi, memo)
-        cofactor = table.order // degree
-        n = d // gcd(d, cofactor)
-        if n * cofactor % d:
-            raise AssertionError("d does not divide K*|G|/chi(1)")
+    d = _support_multiplier(table, chi)
+    cofactor = table.order // degree
+    n = d // gcd(d, cofactor)
+    if n * cofactor % d:
+        raise AssertionError("d does not divide K*|G|/chi(1)")
     if degree % n:
         # chi (x) rho_reg = chi(1) rho_reg, so the index divides chi(1)
         raise AssertionError("Knutson index does not divide the degree")

@@ -247,10 +247,12 @@ def psl2_table(q: int) -> CharacterTable:
     """Exact character table of PSL2(q); equals SL2(q) for even q."""
     sl2 = sl2_table(q)
     if q % 2 == 0:
-        return CharacterTable(
+        table = CharacterTable(
             f"PSL2({q})", sl2.order, sl2.classes, sl2.irreps,
             sl2.identity_index,
         )
+        table._orthogonal = sl2._orthogonal  # the same rows, checked
+        return table
     table = _psl2_odd(sl2)
     table.check_orthogonality()
     return table

@@ -1,21 +1,25 @@
 """Exact algebraic values: ring axioms by hypothesis, floats as a cross-check."""
 
 import cmath
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import isprime
+from sympy import Matrix as SymMatrix, isprime
 
 from knutson.algnum import (
     CyclotomicTau,
     MultiQuadratic,
     ResidueField,
     cyclotomic_polynomial,
+    integer_rows,
     rational_value,
     squarefree_decompose,
 )
+from knutson.sl2tables import sl2_table
+from knutson.symchar import an_table
 
 TOL = 1e-9
 
@@ -183,7 +187,8 @@ def test_generic_helpers_dispatch():
     # a rational held in non-canonical form, with mixed denominators
     x = CyclotomicTau(5, 0, {e: Fraction(1, 6) for e in range(5)}) + Fraction(3, 4)
     assert x.is_rational() and rational_value(x) == Fraction(3, 4)
-    assert x.canonical()[0] == (Fraction(3, 4), 0, 0, 0)
+    (vb, den), _ = x._reduced()
+    assert [Fraction(v, den) for v in vb] == [Fraction(3, 4), 0, 0, 0]
     assert MultiQuadratic({1: 4}) == 4
     assert 4 == MultiQuadratic({1: 4})
     assert MultiQuadratic.sqrt(2) != 1
@@ -333,3 +338,53 @@ def test_residue_field_prime_is_deterministic_and_least():
             and pow(3, (cand - 1) // 2, cand) == 1
             and pow(5, (cand - 1) // 2, cand) == 1
         )
+
+
+def _kernel(rows, width):
+    """An integer basis of {x : R*x = 0}, from sympy's rational one."""
+    if not rows:
+        return [[int(i == j) for j in range(width)] for i in range(width)]
+    out = []
+    for v in SymMatrix(rows).nullspace():
+        den = lcm(*(int(c.q) for c in v))
+        out.append([int(c * den) for c in v])
+    return out
+
+
+@pytest.mark.parametrize(
+    "table",
+    [sl2_table(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)] + [an_table(5), an_table(7)],
+    ids=lambda t: t.label,
+)
+def test_integer_rows_are_exact(table):
+    # R*x = 0 exactly when sum_i x_i chi_i(k) = 0, for random x and for
+    # a basis of the kernel.  For q = 9, tau^2 = 9 and the formal tau is
+    # no field element, so the sum is evaluated as the complex number
+    # the table means, with tau = 3.
+    rng = random.Random(len(table.classes))
+    formal = table.label != "SL2(9)"
+    for k in range(len(table.classes)):
+        column = [ir.values[k] for ir in table.irreps]
+        rows = integer_rows(column)
+        kernel = _kernel(rows, len(column))
+        trials = kernel + [
+            [rng.randint(-3, 3) for _ in column] for _ in range(20)
+        ]
+        for x in trials:
+            total = sum(a * v for a, v in zip(x, column))
+            vanishes = not total if formal else abs(complex(total)) < TOL
+            assert vanishes == all(
+                sum(a * r for a, r in zip(x, row)) == 0 for row in rows
+            ), (table.label, k, x)
+
+
+def test_integer_rows_refuse_a_dependent_tau():
+    # zeta_20^4 is a fifth root of unity, and sqrt(5) lies in Q(zeta_5)
+    column = [1, CyclotomicTau(20, 5, {4: 1}, {0: 1})]
+    with pytest.raises(ValueError, match="lies in"):
+        integer_rows(column)
+    # sqrt(-3) lies in Q(zeta_15) but not in Q(zeta_5): the exponents
+    # decide which field the column needs
+    assert integer_rows([CyclotomicTau(15, -3, {3: 1}, {0: 1})]) == [[1], [1]]
+    with pytest.raises(ValueError, match="lies in"):
+        integer_rows([CyclotomicTau(15, -3, {1: 1}, {0: 1})])

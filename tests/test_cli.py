@@ -683,16 +683,16 @@ def test_exit_code_fusion_range_check(capsys, monkeypatch):
     assert err.startswith("error: verification failed") and err.count("\n") == 1
 
 
-def test_exit_code_fusion_range_check_sl2(capsys, monkeypatch):
-    # one value of SL2(5) raised by 1: its indices keep the fusion path,
-    # whose range check is the guard
+def test_exit_code_orthogonality_check_sl2(capsys, monkeypatch):
+    # one value of SL2(5) raised by 1: the copy was never checked, so the
+    # row orthogonality checked before its first index fails
     good = sl2_table(5)
     bad = with_entry(good, 1, 2, good.irreps[1].values[2] + 1)
     monkeypatch.setattr(cli, "sl2_table", lambda q: bad)
     assert main(["knutson", "sl2", "5", "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: verification failed") and err.count("\n") == 1
-    assert "out of range" in err
+    assert "SL2(5): <1,psi> = " in err
 
 
 def test_irrational_identity_value_exits_1(capsys, monkeypatch):

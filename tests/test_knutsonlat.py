@@ -12,7 +12,8 @@ from oracles import (
     zero_set_multiplier_dual,
 )
 
-from knutson import knutsonlat
+from knutson import charring, knutsonlat
+from knutson.chartable import CharacterTable
 from knutson.charring import VirtualCharacter, fusion_matrix, regular_character
 from knutson.errors import CapExceededError, TableError
 from knutson.knutsonlat import (
@@ -260,14 +261,22 @@ def _zero_set(table, chi):
 def test_zero_set_index_matches_fusion_path():
     # K from chi's zero set equals the least n with n*rho_reg in the
     # column lattice of chi's fusion matrix
-    tables = [sn_table(n) for n in range(1, 12)] + [an_table(n) for n in range(3, 13)]
+    qs = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 32)
+    tables = (
+        [sn_table(n) for n in range(1, 12)]
+        + [an_table(n) for n in range(3, 13)]
+        + [sl2_table(q) for q in qs]
+        + [psl2_table(q) for q in qs]
+    )
     for table in tables:
         degrees = list(table.degrees)
         for i in range(len(table.irreps)):
             want = min_multiplier(fusion_matrix(table, i), degrees)
             assert knutson_index_char(table, i) == want, (table.label, i)
-    a12 = tables[-1]
+    a12 = an_table(12)
     assert [knutson_index_char(a12, i) for i in range(len(a12.irreps))].count(2) == 1
+    sl2_13 = sl2_table(13)
+    assert knutson_index_group(sl2_13) == 2 and len(sl2_13._zero_set_d) == 6
 
 
 def test_zero_set_multiplier_matches_dual_oracle():
@@ -291,33 +300,32 @@ def test_zero_set_multiplier_matches_dual_oracle():
     assert ds >= {45, 72, 80, 144, 720} and len(ds) > 25
 
 
-def test_sn_and_an_indices_build_no_fusion_matrix(monkeypatch):
+def test_no_index_builds_a_fusion_matrix(monkeypatch):
     def no_fusion(table, a):
         raise AssertionError(f"fusion matrix built for {table.label}")
 
     monkeypatch.setattr(knutsonlat, "fusion_matrix", no_fusion)
-    for table in (sn_table(7), an_table(7), an_table(12)):
+    monkeypatch.setattr(charring, "fusion_matrix", no_fusion)
+    for built in (
+        sn_table(7), an_table(12), sl2_table(5), sl2_table(8), sl2_table(9),
+        psl2_table(13),
+    ):
+        # a fresh copy, so no memo of an earlier test answers for it
+        table = CharacterTable(
+            built.label, built.order, built.classes, built.irreps,
+            built.identity_index,
+        )
         knutson_index_group(table)
-    # a table with a CyclotomicTau value keeps the fusion path
-    built = []
-
-    def counted(table, a):
-        built.append(a)
-        return fusion_matrix(table, a)
-
-    monkeypatch.setattr(knutsonlat, "fusion_matrix", counted)
-    table = sl2_table(5)
-    assert knutson_index_group(table) == 2
-    assert built == list(range(len(table.irreps)))
-    assert table._zero_set_d is None
+        assert table._zero_set_d and table._residue_rows is None
 
 
-@pytest.mark.parametrize("build", (sn_table, an_table))
+@pytest.mark.parametrize("build", (sn_table, an_table, sl2_table))
 def test_corrupted_table_raises_after_good_indices(build):
-    # the orthogonality check runs once per table, so a corrupted copy
-    # is checked although its source table's indices are memoised
-    good = build(6)
-    assert knutson_index_group(good) == 1
+    # the orthogonality check passes once per table, so a corrupted copy
+    # is checked although its source table's indices are memoised and,
+    # for SL2, its source was checked when it was built
+    good = build(5 if build is sl2_table else 6)
+    want = knutson_index_group(good)
     k = next(
         k for k, v in enumerate(good.irreps[1].values)
         if v and k != good.identity_index
@@ -325,4 +333,4 @@ def test_corrupted_table_raises_after_good_indices(build):
     bad = with_entry(good, 1, k, good.irreps[1].values[k] + 1)
     with pytest.raises(TableError):
         knutson_index_char(bad, 0)
-    assert knutson_index_group(good) == 1
+    assert knutson_index_group(good) == want

@@ -3,7 +3,8 @@
 perfbench/tracer.py wraps every public layer function and, after each
 command, reads `symchar.mn_value.cache_info()`; its cache observers
 call `cli._cache_path` and read what `cli.cache_load` returns, and its
-fusion observer reads `CharacterTable._fusion_cache`.  A package change
+fusion observer reads `CharacterTable._fusion_cache`, which only the
+rho machinery fills.  A package change
 that drops that memo or renames a traced function breaks every traced
 run.
 """
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from knutson.sl2tables import psl2_table
 from knutson.symchar import sn_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +58,12 @@ def test_tracer_observes_the_table_cache(tmp_path):
     assert "cli.cache_store.bytes" not in warm["counters"]
 
 
+def _distinct_zero_sets(table):
+    return {
+        tuple(k for k, v in enumerate(ir.values) if not v) for ir in table.irreps
+    }
+
+
 def test_tracer_sees_sn_indices_from_zero_sets(tmp_path):
     # S_n indices build no fusion matrix and solve one lattice per
     # distinct zero set of a character
@@ -63,13 +71,22 @@ def test_tracer_sees_sn_indices_from_zero_sets(tmp_path):
     stats = record["stats"]
     assert stats.get("charring.fusion_matrix", [0])[0] == 0
     table = sn_table(6)
-    zero_sets = {
-        tuple(k for k, v in enumerate(ir.values) if not v) for ir in table.irreps
-    }
+    zero_sets = _distinct_zero_sets(table)
     assert len(zero_sets) < len(table.irreps)
     assert stats["knutsonlat.min_multiplier"][0] == len(zero_sets)
 
 
+def test_tracer_sees_psl2_indices_from_zero_sets(tmp_path):
+    # PSL2 indices take the same route: no fusion matrix, one lattice
+    # per distinct zero set
+    record = _trace(tmp_path, "knutson", "psl2", "5", "--no-cache")
+    stats = record["stats"]
+    assert stats.get("charring.fusion_matrix", [0])[0] == 0
+    zero_sets = _distinct_zero_sets(psl2_table(5))
+    assert stats["knutsonlat.min_multiplier"][0] == len(zero_sets)
+
+
 def test_tracer_counts_sl2_fusion_matrices(tmp_path):
+    # the indices build none; the rho-inverse rows of odd q >= 5 do
     record = _trace(tmp_path, "knutson", "sl2", "5")
     assert record["counters"]["charring.fusion.misses"] > 0
