@@ -422,8 +422,8 @@ def _suite_sequences() -> list[dict]:
         ),
         _expect(
             "a363701 prefix",
-            (1, 5, 6, 8, 9, 10, 12, 14, 17, 21),
-            seq_zero_columns_sn(21).terms,
+            (1, 5, 6, 8, 9, 10, 12, 14, 17, 21, 28, 30),
+            seq_zero_columns_sn(30).terms,
         ),
     ]
 

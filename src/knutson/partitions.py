@@ -126,6 +126,18 @@ def is_t_core(parts: Partition, t: int) -> bool:
     return True
 
 
+def partition_counts(n: int) -> list[int]:
+    """p(0), p(1), ..., p(n): the coefficients of prod_k 1 / (1 - q^k),
+    in O(n^2) integer operations."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        for i in range(k, n + 1):
+            series[i] += series[i - k]
+    return series
+
+
 def count_t_cores(n: int, t: int) -> int:
     """Number of t-core partitions of n.
 
@@ -134,15 +146,26 @@ def count_t_cores(n: int, t: int) -> int:
     """
     if n < 0 or t < 2:
         raise ValueError("need n >= 0 and t >= 2")
-    series = [1] + [0] * n
-    for k in range(1, n + 1):
-        for i in range(k, n + 1):
-            series[i] += series[i - k]
+    series = partition_counts(n)
     for k in range(t, n + 1, t):
         for _ in range(t):
             for i in range(n, k - 1, -1):
                 series[i] -= series[i - k]
     return series[n]
+
+
+def t_weight(parts: Partition, t: int) -> int:
+    """How many rim t-hooks can be stripped from parts in succession.
+
+    This is the number of hook lengths divisible by t: on the beta-set,
+    the number of pairs of a bead b and an empty position b - j*t >= 0
+    on its runner of the t-abacus (James & Kerber 1981, 2.7.40).
+    """
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    top = len(parts) - 1
+    beta = {p + top - i for i, p in enumerate(parts)}
+    return sum(1 for b in beta for c in range(b - t, -1, -t) if c not in beta)
 
 
 @cache

@@ -4,24 +4,28 @@ The first two are pure number theory: L(S_n) = n! iff n is triangular
 and 3n + 1 is Loeschian, and L(A_n) = n!/2 additionally allows n - 2
 triangular.  The third -- the n whose S_n table has a zero in every
 non-trivial column -- needs the tables, but almost every class is
-certified to vanish without scanning its column: if n - s*t has a
-t-core sigma and the class has more than s cycles of length t, then the
-character of shape (sigma_1 + s*t, sigma_2, ...) vanishes on it (strip
-the t-cycles by Murnaghan-Nakayama and land on a shape with no t-hook).
-Each certificate is re-verified by evaluating the character, so the
-pruning cannot beg the question; a class without a certificate gets
-its whole column from one forward Murnaghan-Nakayama sweep
-(symchar.class_has_zero).
+certified to vanish without scanning its column.  If n - s*t has a
+t-core sigma, the shape (sigma_1 + s*t, sigma_2, ...) has t-weight s:
+the Murnaghan-Nakayama rule, stripping the t-cycles first, ends after
+s of them, so its character vanishes on every class with more than s
+cycles of length t.  Each certificate is verified once per (n, t, s)
+-- the shape is a partition of n of t-weight s, which holds exactly
+when sigma is a t-core -- so the pruning cannot beg the question.  Every t >= 4 has a t-core of n (Granville-Ono 1996), so
+(n, t, 0) certifies every class with a part t >= 4 without enumerating
+them; only the classes with parts at most 3 are walked.  Those without
+a certificate are decided by one sweep that shares their columns'
+prefixes across n (symchar.zero_in_small_part_columns).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import CapExceededError
 from .numtheory import is_loeschian, is_triangular
-from .partitions import Partition, exists_t_core, find_t_core
-from .symchar import CycleType, class_has_zero, cycle_types, mn_value
+from .partitions import Partition, exists_t_core, find_t_core, partitions, t_weight
+from .symchar import CycleType, zero_in_small_part_columns
 
 ZERO_COLUMNS_CAP = 30
 # Largest limit for a363675 and a363676: a363676 takes about 1 s at this
@@ -78,6 +82,24 @@ def seq_L_An(limit: int) -> SequenceRecord:
     return SequenceRecord("a363676", limit, terms)
 
 
+@cache
+def _certificate(n: int, t: int, s: int) -> Partition:
+    """sigma = find_t_core(n - s*t, t) with s*t added to its first row,
+    checked to vanish on every class of n with more than s t-cycles: it
+    must be a partition of n of t-weight s.  Adding s*t to the first row
+    adds s to the t-weight, so this holds exactly when sigma is a t-core
+    of n - s*t."""
+    sigma = find_t_core(n - s * t, t)
+    if sigma is None:
+        raise AssertionError(f"no {t}-core of {n - s * t}")
+    shape = ((sigma[0] + s * t,) + sigma[1:]) if sigma else (s * t,)
+    if sum(shape) != n or t_weight(shape, t) != s:
+        raise AssertionError(
+            f"vanishing certificate {shape} fails for n = {n}, t = {t}, s = {s}"
+        )
+    return shape
+
+
 def vanishing_certificate(
     n: int, ct: CycleType
 ) -> tuple[Partition, int, int] | None:
@@ -85,9 +107,9 @@ def vanishing_certificate(
 
     Looks for a cycle length t >= 2 with multiplicity m in the class and
     an s < m such that n - s*t has a t-core sigma; then the shape
-    (sigma_1 + s*t, sigma_2, ...) has all its t-hooks confined to the
-    first row, so stripping the class's t-cycles exhausts them and the
-    character vanishes.  The conclusion is re-verified exactly.
+    (sigma_1 + s*t, sigma_2, ...) has t-weight s, so stripping the
+    class's t-cycles exhausts its t-hooks and the character vanishes.
+    The shape is built and checked once per (n, t, s) by _certificate.
     Returns (shape, t, s).
     """
     for t in sorted(set(ct.parts), reverse=True):
@@ -95,36 +117,9 @@ def vanishing_certificate(
             continue
         mult = ct.parts.count(t)
         for s in range(mult):
-            if not exists_t_core(n - s * t, t):
-                continue
-            sigma = find_t_core(n - s * t, t)
-            shape = (
-                ((sigma[0] + s * t,) + sigma[1:]) if sigma else (s * t,)
-            )
-            if mn_value(shape, ct.parts) != 0:
-                raise AssertionError(
-                    f"vanishing certificate {shape} fails on {ct.parts}"
-                )
-            return shape, t, s
+            if exists_t_core(n - s * t, t):
+                return _certificate(n, t, s), t, s
     return None
-
-
-def class_zero_certified(n: int, ct: CycleType) -> bool:
-    """Whether some character vanishes on the class: certificate first,
-    the one-column sweep as the fallback."""
-    if vanishing_certificate(n, ct) is not None:
-        return True
-    return class_has_zero(n, ct.parts)
-
-
-def zero_in_every_column_sn(n: int) -> bool:
-    """Whether every non-trivial column of the S_n table has a zero."""
-    identity = (1,) * n
-    return all(
-        class_zero_certified(n, ct)
-        for ct in cycle_types(n)
-        if ct.parts != identity
-    )
 
 
 def seq_zero_columns_sn(limit: int) -> SequenceRecord:
@@ -138,6 +133,17 @@ def seq_zero_columns_sn(limit: int) -> SequenceRecord:
         raise CapExceededError(
             f"seq_zero_columns_sn({limit}) exceeds cap {ZERO_COLUMNS_CAP}"
         )
-    terms = tuple(n for n in range(1, limit + 1) if zero_in_every_column_sn(n))
+    # (n, t, 0) certifies every class of n with a part t >= 4
+    for t in range(4, limit + 1):
+        for n in range(t, limit + 1):
+            _certificate(n, t, 0)
+    uncertified = {
+        n: [
+            mu for mu in partitions(n, 3)
+            if mu != (1,) * n
+            and vanishing_certificate(n, CycleType(mu)) is None
+        ]
+        for n in range(1, limit + 1)
+    }
+    terms = tuple(sorted(zero_in_small_part_columns(uncertified)))
     return SequenceRecord("a363701", limit, terms)
-

@@ -15,11 +15,16 @@ every column.
 
 class_has_zero sweeps the one column of its class the same way and
 asks whether the dict holds fewer than p(n) shapes.
+zero_in_small_part_columns decides many classes with parts at most 3,
+of every n at once, on one bead count, sharing the columns of their 1s
+and 2s; it decides the a363701 classes that have no vanishing
+certificate.
 
 mn_value evaluates a single chi_lam(mu) by the backward recursion over
 beta-sets, memoized globally on (remaining shape, remaining cycles)
-with the largest cycle stripped first.  It serves only the re-checks of
-the sequences' vanishing certificates, one value per certified class.
+with the largest cycle stripped first.  No package code calls it: it
+serves the tests as an independent oracle, and the benchmark's tracer
+reads its memo.
 
 A_n is built by restriction: a non-self-conjugate pair of S_n
 characters restricts to one irreducible, a self-conjugate shape splits
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
+from typing import TypeVar
 
 from .algnum import MultiQuadratic
 from .chartable import CharacterTable, ConjClass, Irrep
@@ -43,11 +49,14 @@ from .partitions import (
     Partition,
     conjugate,
     degree_hook,
+    partition_counts,
     partitions,
     principal_hooks,
 )
 
 DEFAULT_CAP = 22
+
+K = TypeVar("K")
 
 
 def check_cap(kind: str, n: int) -> None:
@@ -303,11 +312,6 @@ def an_table(n: int) -> CharacterTable:
     )
 
 
-@cache
-def _partition_count(n: int) -> int:
-    return sum(1 for _ in partitions(n))
-
-
 def class_has_zero(n: int, mu: Partition) -> bool:
     """Does some chi_lam vanish on class mu?
 
@@ -319,4 +323,47 @@ def class_has_zero(n: int, mu: Partition) -> bool:
     column = {(1 << n) - 1: 1}
     for t in reversed(mu):
         column = _add_hooks(column, t)
-    return len(column) < _partition_count(n)
+    return len(column) < partition_counts(n)[n]
+
+
+def zero_in_small_part_columns(groups: dict[K, list[Partition]]) -> set[K]:
+    """The keys of groups whose classes all have a zero in their column.
+
+    Every class is (3^a 2^b 1^c), a class of S_n for n = 3a + 2b + c.
+    All of them are swept as in class_has_zero, on one bead count, the
+    largest n, in the order of (c, b, a): the column of 1^c grows by one
+    1-hook at a time, the column of 1^c 2^b grows from it by one 2-hook
+    at a time, and a class adds its a 3-hooks to the latter.  So classes
+    of every n share the sweep of their 1s and 2s, and at most three
+    columns are held.  A key is dropped at its first class without a
+    zero; its other classes are not swept.
+    """
+    todo = []
+    for key, mus in groups.items():
+        for mu in mus:
+            c, b, a = mu.count(1), mu.count(2), mu.count(3)
+            if c + 2 * b + 3 * a != sum(mu):
+                raise ValueError(f"class {mu} has a part above 3")
+            todo.append(((c, b, a), key))
+    todo.sort(key=lambda item: item[0])
+    beads = max((c + 2 * b + 3 * a for (c, b, a), _key in todo), default=0)
+    counts = partition_counts(beads)
+    ones = twos = {(1 << beads) - 1: 1}  # the columns of 1^c0 and 1^c0 2^b0
+    c0 = b0 = 0
+    failed = set()
+    for (c, b, a), key in todo:
+        if key in failed:
+            continue
+        if c > c0:
+            for _ in range(c - c0):
+                ones = _add_hooks(ones, 1)
+            twos, c0, b0 = ones, c, 0
+        for _ in range(b - b0):
+            twos = _add_hooks(twos, 2)
+        b0 = b
+        column = twos
+        for _ in range(a):
+            column = _add_hooks(column, 3)
+        if len(column) == counts[c + 2 * b + 3 * a]:
+            failed.add(key)
+    return set(groups) - failed

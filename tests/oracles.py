@@ -13,7 +13,8 @@ from knutson.algnum import CyclotomicTau, MultiQuadratic, rational_value
 from knutson.chartable import CharacterTable, Irrep
 from knutson.errors import TableError
 from knutson.partitions import degree_hook, partitions
-from knutson.symchar import mn_value
+from knutson.sequences import vanishing_certificate
+from knutson.symchar import CycleType, class_has_zero, cycle_types, mn_value
 
 Matrix = list[list[int]]
 
@@ -75,6 +76,29 @@ def class_has_zero_scan(n: int, mu: tuple[int, ...]) -> bool:
     are most frequent) up to the first zero."""
     shapes = sorted(partitions(n), key=degree_hook, reverse=True)
     return any(mn_value(lam, mu) == 0 for lam in shapes)
+
+
+def class_zero_certified(n: int, ct: CycleType) -> bool:
+    """Whether some character vanishes on the class, decided one class at
+    a time: a vanishing certificate re-checked by evaluating it with
+    mn_value, else the class's one-column sweep."""
+    cert = vanishing_certificate(n, ct)
+    if cert is not None:
+        if mn_value(cert[0], ct.parts) != 0:
+            raise AssertionError(f"vanishing certificate {cert} fails on {ct.parts}")
+        return True
+    return class_has_zero(n, ct.parts)
+
+
+def zero_in_every_column_sn(n: int) -> bool:
+    """Whether every non-trivial column of the S_n table has a zero,
+    from class_zero_certified on every class."""
+    identity = (1,) * n
+    return all(
+        class_zero_certified(n, ct)
+        for ct in cycle_types(n)
+        if ct.parts != identity
+    )
 
 
 def with_entry(table: CharacterTable, i: int, k: int, value) -> CharacterTable:

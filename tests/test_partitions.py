@@ -17,9 +17,12 @@ from knutson.partitions import (
     hook_lengths,
     hook_multiset,
     is_t_core,
+    partition_counts,
     partitions,
     principal_hooks,
+    t_weight,
 )
+from knutson.symchar import rim_hook_removals
 
 from oracles import count_t_cores_vectors, partitions_recursive, unique_hook2_scan
 
@@ -104,6 +107,31 @@ def test_is_t_core_matches_hook_multiset():
             for t in range(2, 8):
                 want = all(h % t for h in hook_multiset(lam))
                 assert is_t_core(lam, t) == want
+
+
+def test_partition_counts_match_enumeration():
+    counts = partition_counts(40)
+    assert counts == [sum(1 for _ in partitions(n)) for n in range(41)]
+    assert counts[:21] == list(PARTITION_COUNTS)
+    assert partition_counts(0) == [1]
+
+
+def _weight_by_stripping(lam, t):
+    # rim t-hooks stripped one at a time; every order strips as many
+    removals = rim_hook_removals(lam, t)
+    weights = {_weight_by_stripping(smaller, t) for smaller, _leg in removals}
+    assert len(weights) <= 1
+    return 1 + weights.pop() if weights else 0
+
+
+def test_t_weight_counts_successive_rim_hooks():
+    for n in range(0, 13):
+        for lam in partitions(n):
+            for t in range(2, 8):
+                w = t_weight(lam, t)
+                assert w == _weight_by_stripping(lam, t)
+                assert w == sum(1 for h in hook_multiset(lam) if h % t == 0)
+                assert (w == 0) == is_t_core(lam, t)
 
 
 def _count_cores_brute(n, t):

@@ -1,20 +1,23 @@
 """Sequence generators and the t-core vanishing certificates behind them."""
 
+import random
+
 import pytest
 
+from knutson import sequences
 from knutson.chartable import zero_in_every_nontrivial_column
 from knutson.errors import CapExceededError
-from knutson.partitions import is_t_core, partitions
+from knutson.partitions import exists_t_core, find_t_core, is_t_core, partitions
 from knutson.sequences import (
     SequenceRecord,
-    class_zero_certified,
     seq_L_An,
     seq_L_Sn,
     seq_zero_columns_sn,
     vanishing_certificate,
-    zero_in_every_column_sn,
 )
-from knutson.symchar import cycle_types, mn_value, sn_table
+from knutson.symchar import CycleType, cycle_types, mn_value, sn_table
+
+from oracles import class_zero_certified, zero_in_every_column_sn
 
 
 def test_sequence_record_invariants():
@@ -71,6 +74,65 @@ def test_zero_in_every_column_matches_table():
         assert zero_in_every_column_sn(n) == zero_in_every_nontrivial_column(
             sn_table(n)
         )
+
+
+def test_seq_zero_columns_matches_per_class_oracle():
+    # the oracle decides every class of S_n on its own: a certificate
+    # re-checked by mn_value, else the class's one-column sweep
+    oracle = tuple(n for n in range(1, 31) if zero_in_every_column_sn(n))
+    for limit in range(1, 31):
+        assert seq_zero_columns_sn(limit).terms == tuple(
+            n for n in oracle if n <= limit
+        ), limit
+
+
+def test_seq_zero_columns_makes_no_mn_value_call():
+    before = mn_value.cache_info()
+    seq_zero_columns_sn(30)
+    assert mn_value.cache_info() == before
+
+
+@pytest.mark.parametrize("corrupt", ["non_core", "off_by_one_s"])
+def test_corrupted_certificate_raises(monkeypatch, corrupt):
+    real = find_t_core
+    if corrupt == "non_core":
+        # t >= 4, certified without a class: a one-row shape of m >= t
+        # has a t-hook
+        fake = lambda m, t: (m,) if t >= 4 and m >= t else real(m, t)
+        parts = (9,)
+    else:
+        # t <= 3, met in the walk of the classes: the core that belongs
+        # to s - 1, so the shape is not a partition of n
+        fake = lambda m, t: real(m + t, t) if t <= 3 else real(m, t)
+        parts = (3, 3, 3)
+    monkeypatch.setattr(sequences, "find_t_core", fake)
+    # certificates are memoized for the process; a failed check caches
+    # nothing, so only sound certificates outlive the patch
+    sequences._certificate.cache_clear()
+    with pytest.raises(AssertionError):
+        seq_zero_columns_sn(12)
+    with pytest.raises(AssertionError):
+        vanishing_certificate(9, CycleType(parts))
+
+
+def test_find_t_core_after_a_run_equals_a_fresh_search():
+    # the run memoizes every t-core it finds; afterwards, and with the
+    # memo cleared, searches in any order still return the first t-core
+    # in enumeration order
+    seq_zero_columns_sn(30)
+    pairs = [(n, t) for n in range(41) for t in range(2, 14)]
+    want = {
+        (n, t): next((lam for lam in partitions(n) if is_t_core(lam, t)), None)
+        if exists_t_core(n, t) else None
+        for n, t in pairs
+    }
+    rng = random.Random(20)
+    for clear in (False, True):
+        if clear:
+            find_t_core.cache_clear()
+        rng.shuffle(pairs)
+        for n, t in pairs:
+            assert find_t_core(n, t) == want[n, t], (n, t)
 
 
 def test_seq_zero_columns_prefix():

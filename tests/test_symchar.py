@@ -19,6 +19,7 @@ from knutson.symchar import (
     mn_value,
     rim_hook_removals,
     sn_table,
+    zero_in_small_part_columns,
 )
 
 
@@ -209,6 +210,20 @@ def test_s16_class_scan_makes_no_mn_value_call():
         any(ir.values[k] == 0 for ir in table.irreps)
         for k in range(len(table.classes))
     ]
+
+
+def test_small_part_sweep_matches_class_has_zero():
+    # every class with parts at most 3 of S_n, n <= 24, decided in one
+    # sweep on 24 beads: each class as its own key, then one key per n
+    classes = [mu for n in range(1, 25) for mu in partitions(n, 3)]
+    want = {mu for mu in classes if class_has_zero(sum(mu), mu)}
+    assert zero_in_small_part_columns({mu: [mu] for mu in classes}) == want
+    by_n = {n: list(partitions(n, 3))[:-1] for n in range(1, 25)}
+    assert zero_in_small_part_columns(by_n) == {
+        n for n, mus in by_n.items() if set(mus) <= want
+    }
+    with pytest.raises(ValueError):
+        zero_in_small_part_columns({5: [(4, 1)]})
 
 
 def test_nonvanishing_classes_small():
