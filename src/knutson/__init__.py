@@ -1,96 +1,76 @@
-"""Exact character-theory toolkit: tables, Knutson indices, sequences."""
+"""Exact character-theory toolkit: tables, Knutson indices, sequences.
 
-from .algnum import CyclotomicTau, MultiQuadratic
-from .chartable import (
-    CharacterTable,
-    ConjClass,
-    Irrep,
-    zero_in_every_nontrivial_column,
-)
-from .charring import (
-    VirtualCharacter,
-    fusion_matrix,
-    inner_product,
-    regular_character,
-    trivial_index,
-)
-from .errors import CapExceededError, TableError
-from .knutsonlat import (
-    generalized_lower_bound,
-    is_rho_invertible,
-    knutson_index_char,
-    knutson_index_group,
-    min_multiplier,
-    min_rho_search,
-    solve_integer,
-    zero_column_criterion,
-)
-from .numtheory import is_loeschian, is_triangular, quadform_xxyy, sigma3
-from .partitions import (
-    count_t_cores,
-    exists_t_core,
-    find_t_core,
-    is_t_core,
-    partitions,
-)
-from .sequences import SequenceRecord, seq_L_An, seq_L_Sn, seq_zero_columns_sn
-from .sl2tables import (
-    Sl2Param,
-    lcm_degrees_sl2_expected,
-    paper_rho_inverses,
-    psl2_table,
-    rho_theorem_character,
-    sl2_table,
-    verify_rho_pm_obstruction,
-)
-from .symchar import an_table, cycle_types, mn_value, sn_table
+The public names load lazily (PEP 562): `import knutson` imports no
+submodule, and the first use of a name imports the one module that
+defines it, so a command pays only for the layers it runs.
+`from knutson import *` and `from knutson import cli` work as before.
+"""
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CapExceededError",
-    "CharacterTable",
-    "ConjClass",
-    "CyclotomicTau",
-    "Irrep",
-    "MultiQuadratic",
-    "SequenceRecord",
-    "Sl2Param",
-    "TableError",
-    "VirtualCharacter",
-    "an_table",
-    "count_t_cores",
-    "cycle_types",
-    "exists_t_core",
-    "find_t_core",
-    "fusion_matrix",
-    "generalized_lower_bound",
-    "inner_product",
-    "is_loeschian",
-    "is_rho_invertible",
-    "is_t_core",
-    "is_triangular",
-    "knutson_index_char",
-    "knutson_index_group",
-    "lcm_degrees_sl2_expected",
-    "min_multiplier",
-    "min_rho_search",
-    "mn_value",
-    "paper_rho_inverses",
-    "partitions",
-    "psl2_table",
-    "quadform_xxyy",
-    "regular_character",
-    "rho_theorem_character",
-    "seq_L_An",
-    "seq_L_Sn",
-    "seq_zero_columns_sn",
-    "sigma3",
-    "sl2_table",
-    "sn_table",
-    "solve_integer",
-    "trivial_index",
-    "verify_rho_pm_obstruction",
-    "zero_column_criterion",
-    "zero_in_every_nontrivial_column",
-]
+_EXPORTS = {
+    "algnum": ("CyclotomicTau", "MultiQuadratic"),
+    "chartable": (
+        "CharacterTable", "ConjClass", "Irrep", "zero_in_every_nontrivial_column",
+    ),
+    "charring": (
+        "VirtualCharacter", "fusion_matrix", "inner_product",
+        "regular_character", "trivial_index",
+    ),
+    "errors": ("CapExceededError", "TableError"),
+    "knutsonlat": (
+        "generalized_lower_bound", "is_rho_invertible", "knutson_index_char",
+        "knutson_index_group", "min_multiplier", "min_rho_search",
+        "solve_integer", "zero_column_criterion",
+    ),
+    "numtheory": ("is_loeschian", "is_triangular", "quadform_xxyy", "sigma3"),
+    "partitions": (
+        "count_t_cores", "exists_t_core", "find_t_core", "is_t_core", "partitions",
+    ),
+    "sequences": ("SequenceRecord", "seq_L_An", "seq_L_Sn", "seq_zero_columns_sn"),
+    "sl2tables": (
+        "Sl2Param", "lcm_degrees_sl2_expected", "paper_rho_inverses",
+        "psl2_table", "rho_theorem_character", "sl2_table",
+        "verify_rho_pm_obstruction",
+    ),
+    "symchar": ("an_table", "cycle_types", "mn_value", "sn_table"),
+}
+# public name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # also how `from knutson import cli` finds that cli is a submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    """The package, whose public names win over its submodules'.
+
+    Importing a submodule binds it on the package.  For `partitions`,
+    both a submodule and a public function, that would replace the
+    function; so a submodule is not bound under a public name.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _MODULE_OF and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -4,154 +4,35 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 resource cap
 exceeded, 4 published-table discrepancy (a rho-inverse row that neither
 verifies nor admits the flagged correction).
 
-Exact values survive serialization through a tagged-union JSON schema:
-integers as bare JSON integers (and every integer field must be one:
-24.0 or true is not), quadratic-irrational combinations as {"mq": [[d,
-num, den], ...]} (coefficient of sqrt(d)), cyclotomic values as {"cyc":
-{"order": m, "eq": tau^2, "base": [[e, num, den], ...], "tau": [...]}}.
-Tables are cached under KNUTSON_CACHE_DIR (default ~/.cache/knutson),
-one `{key}.v3.json` file per table (`.v1` and `.v2` files are ignored):
-the SHA-256 hex digest of the compact table JSON, a newline, then
-exactly those JSON bytes, written atomically via temp-file rename.  An
-entry that fails its digest or does not decode is a miss; a cache that
-cannot be written is a warning on stderr, not a failure.
+Exact values survive serialization through the tagged-union JSON schema
+of knutson.tablejson.  Tables are cached under KNUTSON_CACHE_DIR
+(default ~/.cache/knutson), one `{key}.v3.json` file per table (`.v1`
+and `.v2` files are ignored): the SHA-256 hex digest of the compact
+table JSON, a newline, then exactly those JSON bytes, written
+atomically via temp-file rename.  An entry that fails its digest or
+does not decode is a miss; a cache that cannot be written is a warning
+on stderr, not a failure.
+
+Importing this module loads only the parser's needs.  Each command
+imports the layers it runs when it runs, and looks its functions up on
+their defining modules then, so `seq` and `cores` never load the
+exact-arithmetic, table or lattice layers.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
-import tempfile
-from fractions import Fraction
-from math import lcm
 
-from .algnum import CyclotomicTau, MultiQuadratic
-from .chartable import CharacterTable, ConjClass, Irrep
 from .errors import CapExceededError, TableError
-from .knutsonlat import (
-    check_index_cap,
-    generalized_lower_bound,
-    knutson_index_char,
-    knutson_index_group,
-    min_rho_search,
-    zero_column_criterion,
-)
-from .numtheory import is_loeschian, quadform_xxyy, sigma3
-from .partitions import (
-    CORES_MAX_N,
-    count_t_cores,
-    exists_t_core,
-    find_t_core,
-    is_t_core,
-    partitions,
-)
-from .sequences import seq_L_An, seq_L_Sn, seq_zero_columns_sn
-from .sl2tables import (
-    Sl2Param,
-    paper_rho_inverses,
-    psl2_table,
-    sl2_table,
-    verify_rho_pm_obstruction,
-)
-from .symchar import an_classes, an_table, check_cap, cycle_types, sn_table
+from .partitions import CORES_MAX_N
 
 CACHE_VERSION = 3
 
 
 class UsageError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# exact-value (de)serialization
-
-def _triples(coeffs: dict) -> list:
-    """[k, num, den] for each k: c of coeffs, in key order."""
-    return [[k, c.numerator, c.denominator] for k, c in sorted(coeffs.items())]
-
-
-def value_to_json(v):
-    if type(v) is int:
-        return v
-    if isinstance(v, MultiQuadratic):
-        return {"mq": _triples(v.coeffs)}
-    if isinstance(v, CyclotomicTau):
-        return {
-            "cyc": {
-                "order": v.m, "eq": v.tau_sq,
-                "base": _triples(v.base), "tau": _triples(v.tau),
-            }
-        }
-    raise TypeError(f"unserializable value {v!r}")
-
-
-def _exact(*xs) -> None:
-    """Raise TypeError unless every x is an exact int, not a float or bool."""
-    for x in xs:
-        if type(x) is not int:
-            raise TypeError(f"{x!r} is not an exact integer")
-
-
-def _coefficients(triples) -> dict:
-    """The inverse of _triples, with num itself for num/1."""
-    out = {}
-    for k, num, den in triples:
-        _exact(k, num, den)
-        out[k] = num if den == 1 else Fraction(num, den)
-    return out
-
-
-def value_from_json(obj):
-    if type(obj) is int:
-        return obj
-    if "mq" in obj:
-        return MultiQuadratic(_coefficients(obj["mq"]))
-    if "cyc" in obj:
-        c = obj["cyc"]
-        _exact(c["order"], c["eq"])
-        return CyclotomicTau(
-            c["order"], c["eq"],
-            _coefficients(c["base"]), _coefficients(c["tau"]),
-        )
-    raise ValueError(f"unknown value record {obj!r}")
-
-
-def table_to_json(table: CharacterTable) -> dict:
-    return {
-        "label": table.label,
-        "order": table.order,
-        "identity_index": table.identity_index,
-        "classes": [[c.label, c.size] for c in table.classes],
-        "irreps": [
-            {
-                "label": ir.label,
-                "degree": ir.degree,
-                "values": [value_to_json(v) for v in ir.values],
-            }
-            for ir in table.irreps
-        ],
-    }
-
-
-def table_from_json(obj: dict) -> CharacterTable:
-    classes = tuple(ConjClass(label, size) for label, size in obj["classes"])
-    irreps = tuple(
-        Irrep(
-            ir["label"], ir["degree"],
-            tuple(value_from_json(v) for v in ir["values"]),
-        )
-        for ir in obj["irreps"]
-    )
-    _exact(
-        obj["order"], obj["identity_index"],
-        *(c.size for c in classes), *(ir.degree for ir in irreps),
-    )
-    return CharacterTable(
-        obj["label"], obj["order"], classes, irreps, obj["identity_index"]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +49,13 @@ def _cache_path(key: str) -> str:
     return os.path.join(cache_dir(), f"{key}.v{CACHE_VERSION}.json")
 
 
-def cache_load(key: str) -> CharacterTable | None:
+def cache_load(key: str):
+    """The cached table of key, or None."""
+    import hashlib
+    import json
+
+    from .tablejson import table_from_json
+
     try:
         with open(_cache_path(key), "rb") as fh:
             digest, body = fh.readline(), fh.read()
@@ -184,7 +71,13 @@ def cache_load(key: str) -> CharacterTable | None:
         return None
 
 
-def cache_store(key: str, table: CharacterTable) -> None:
+def cache_store(key: str, table) -> None:
+    import hashlib
+    import json
+    import tempfile
+
+    from .tablejson import table_to_json
+
     body = json.dumps(table_to_json(table), separators=(",", ":")).encode()
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
@@ -200,25 +93,36 @@ def cache_store(key: str, table: CharacterTable) -> None:
         raise
 
 
+def _table_module(kind: str):
+    """The module that builds and caps the tables of kind."""
+    if kind in ("sn", "an"):
+        from . import symchar
+
+        return symchar
+    if kind in ("sl2", "psl2"):
+        from . import sl2tables
+
+        return sl2tables
+    raise UsageError(f"unknown group kind {kind!r}")
+
+
 def _check_cap(kind: str, param: int) -> None:
     """The builders' caps, checked before any cache read."""
+    module = _table_module(kind)
     if kind in ("sn", "an"):
-        check_cap(kind, param)
+        module.check_cap(kind, param)
     else:
-        Sl2Param.from_q(param)
+        module.Sl2Param.from_q(param)
 
 
-def get_table(kind: str, param: int, use_cache: bool = True) -> CharacterTable:
-    builders = {"sn": sn_table, "an": an_table, "sl2": sl2_table, "psl2": psl2_table}
-    if kind not in builders:
-        raise UsageError(f"unknown group kind {kind!r}")
+def get_table(kind: str, param: int, use_cache: bool = True):
     _check_cap(kind, param)
     key = f"{kind}-{param}"
     if use_cache:
         cached = cache_load(key)
         if cached is not None:
             return cached
-    table = builders[kind](param)
+    table = getattr(_table_module(kind), f"{kind}_table")(param)
     if use_cache:
         try:
             cache_store(key, table)
@@ -230,7 +134,7 @@ def get_table(kind: str, param: int, use_cache: bool = True) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_table_text(table: CharacterTable) -> str:
+def render_table_text(table) -> str:
     lines = [f"{table.label}  order {table.order}"]
     header = ["class"] + [c.label for c in table.classes]
     sizes = ["size"] + [str(c.size) for c in table.classes]
@@ -243,7 +147,7 @@ def render_table_text(table: CharacterTable) -> str:
     return "\n".join(lines)
 
 
-def render_table_csv(table: CharacterTable) -> str:
+def render_table_csv(table) -> str:
     lines = ["," + ",".join(c.label for c in table.classes)]
     lines.append("size," + ",".join(str(c.size) for c in table.classes))
     for ir in table.irreps:
@@ -259,6 +163,10 @@ def render_table_csv(table: CharacterTable) -> str:
 def cmd_table(args) -> int:
     table = get_table(args.kind, args.param, use_cache=not args.no_cache)
     if args.format == "json":
+        import json
+
+        from .tablejson import table_to_json
+
         print(json.dumps(table_to_json(table), indent=2))
     elif args.format == "csv":
         print(render_table_csv(table))
@@ -268,24 +176,30 @@ def cmd_table(args) -> int:
 
 
 _SEQ_DEFAULT_LIMITS = {"a363675": 200, "a363676": 60, "a363701": 30}
+# sequence id -> its function's name in knutson.sequences, looked up there
+# at call time
 _SEQ_FUNCS = {
-    "a363675": seq_L_Sn,
-    "a363676": seq_L_An,
-    "a363701": seq_zero_columns_sn,
+    "a363675": "seq_L_Sn",
+    "a363676": "seq_L_An",
+    "a363701": "seq_zero_columns_sn",
 }
 
 
 def cmd_seq(args) -> int:
+    from . import sequences
+
     if args.id not in _SEQ_FUNCS:
         raise UsageError(f"unknown sequence {args.id!r}")
     limit = _SEQ_DEFAULT_LIMITS[args.id] if args.limit is None else args.limit
-    record = _SEQ_FUNCS[args.id](limit)
+    record = getattr(sequences, _SEQ_FUNCS[args.id])(limit)
     if args.bfile:
         out = "".join(
             f"{i} {term}\n" for i, term in enumerate(record.terms, start=1)
         )
         sys.stdout.write(out)
     elif args.format == "json":
+        import json
+
         print(json.dumps({
             "id": record.sequence_id,
             "limit": record.limit,
@@ -300,9 +214,20 @@ def cmd_seq(args) -> int:
 
 
 def cmd_knutson(args) -> int:
+    from math import lcm
+
+    from .knutsonlat import (
+        check_index_cap,
+        generalized_lower_bound,
+        knutson_index_char,
+        zero_column_criterion,
+    )
+
     if args.kind in ("sn", "an") and args.param >= 1:
         # the class count is known from n, so a table past the index cap
         # is refused before it is built
+        from .symchar import an_classes, cycle_types
+
         _check_cap(args.kind, args.param)
         classes = (cycle_types if args.kind == "sn" else an_classes)(args.param)
         check_index_cap(f"{args.kind[0].upper()}{args.param}", len(classes))
@@ -333,6 +258,8 @@ def cmd_knutson(args) -> int:
     )
     exit_code = 0
     if args.kind == "sl2" and args.param % 2 and args.param >= 5:
+        from .sl2tables import paper_rho_inverses, verify_rho_pm_obstruction
+
         rho_report = paper_rho_inverses(args.param)
         rows = {}
         for name, row in rho_report.selected_rows().items():
@@ -354,6 +281,8 @@ def cmd_knutson(args) -> int:
         if args.rho == "theorem":
             report["rho_pm_obstruction"] = verify_rho_pm_obstruction(args.param)
     if args.format == "json":
+        import json
+
         print(json.dumps(report, indent=2))
     else:
         for k, v in report.items():
@@ -362,6 +291,8 @@ def cmd_knutson(args) -> int:
 
 
 def cmd_cores(args) -> int:
+    from .partitions import count_t_cores, exists_t_core, find_t_core
+
     n, t = args.n, args.t
     if n > CORES_MAX_N:
         raise CapExceededError(f"cores --n {n} exceeds cap {CORES_MAX_N}")
@@ -373,6 +304,8 @@ def cmd_cores(args) -> int:
         "first_core": list(find_t_core(n, t) or ()) or None,
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(result))
     else:
         for k, v in result.items():
@@ -384,6 +317,9 @@ def cmd_cores(args) -> int:
 # verification suites
 
 def _suite_orthogonality() -> list[dict]:
+    from .sl2tables import psl2_table, sl2_table
+    from .symchar import an_table, sn_table
+
     checks = []
     for label, build, rng in (
         ("sn", sn_table, range(1, 8)),
@@ -409,6 +345,8 @@ def _expect(name: str, expected, found) -> dict:
 
 
 def _suite_sequences() -> list[dict]:
+    from .sequences import seq_L_An, seq_L_Sn, seq_zero_columns_sn
+
     return [
         _expect(
             "a363675 prefix",
@@ -429,6 +367,8 @@ def _suite_sequences() -> list[dict]:
 
 
 def _suite_sl2_rho(q: int) -> list[dict]:
+    from .sl2tables import paper_rho_inverses
+
     report = paper_rho_inverses(q)
     checks = [{
         "name": f"column assignment q={q}",
@@ -452,6 +392,10 @@ def _suite_sl2_rho(q: int) -> list[dict]:
 
 
 def _suite_knutson_small() -> list[dict]:
+    from .knutsonlat import knutson_index_group, min_rho_search
+    from .sl2tables import psl2_table, sl2_table
+    from .symchar import sn_table
+
     checks = []
     for q, want in ((2, 1), (3, 1), (4, 1), (5, 2), (7, 2), (8, 1)):
         got = knutson_index_group(sl2_table(q))
@@ -469,18 +413,20 @@ def _suite_knutson_small() -> list[dict]:
     return checks
 
 
-def _cores_present(n: int, ts: tuple[int, ...]) -> set[int]:
-    """The t in ts with a t-core of n, by brute force: one pass over
-    partitions(n), asking is_t_core only about the t not yet found."""
-    pending = set(ts)
-    for lam in partitions(n):
-        pending -= {t for t in pending if is_t_core(lam, t)}
-        if not pending:
-            break
-    return set(ts) - pending
-
-
 def _suite_cores() -> list[dict]:
+    from .numtheory import is_loeschian, quadform_xxyy, sigma3
+    from .partitions import count_t_cores, exists_t_core, is_t_core, partitions
+
+    def cores_present(n: int) -> set[int]:
+        """The t in ts with a t-core of n, by brute force: one pass over
+        partitions(n), asking is_t_core only about the t not yet found."""
+        pending = set(ts)
+        for lam in partitions(n):
+            pending -= {t for t in pending if is_t_core(lam, t)}
+            if not pending:
+                break
+        return set(ts) - pending
+
     # each check lists the n at which the two computations disagree
     ts = (2, 3, 5, 7, 11, 13)
     return [
@@ -492,7 +438,7 @@ def _suite_cores() -> list[dict]:
             "exists_t_core fast paths == brute force, n <= 40", [],
             [
                 n for n in range(41)
-                if {t for t in ts if exists_t_core(n, t)} != _cores_present(n, ts)
+                if {t for t in ts if exists_t_core(n, t)} != cores_present(n)
             ],
         ),
         _expect(
@@ -503,6 +449,8 @@ def _suite_cores() -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     suites = {
         "orthogonality": _suite_orthogonality,
         "sequences": _suite_sequences,

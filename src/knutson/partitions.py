@@ -13,7 +13,7 @@ rather than by scanning the p(n) partitions of n.
 
 from functools import cache
 from math import factorial, prod
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import CapExceededError
 from .numtheory import is_loeschian, is_triangular

@@ -14,18 +14,18 @@ when sigma is a t-core -- so the pruning cannot beg the question.  Every t >= 4 
 (n, t, 0) certifies every class with a part t >= 4 without enumerating
 them; only the classes with parts at most 3 are walked.  Those without
 a certificate are decided by one sweep that shares their columns'
-prefixes across n (symchar.zero_in_small_part_columns).
+prefixes across n (symchar.zero_in_small_part_columns), which
+certifies the odd ones by a self-conjugate shape instead of sweeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import CapExceededError
 from .numtheory import is_loeschian, is_triangular
 from .partitions import Partition, exists_t_core, find_t_core, partitions, t_weight
-from .symchar import CycleType, zero_in_small_part_columns
 
 ZERO_COLUMNS_CAP = 30
 # Largest limit for a363675 and a363676: a363676 takes about 1 s at this
@@ -33,17 +33,21 @@ ZERO_COLUMNS_CAP = 30
 L_SEQUENCES_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
-    sequence_id: str
-    limit: int
-    terms: tuple[int, ...]
+class SequenceRecord(namedtuple("SequenceRecord", "sequence_id limit terms")):
+    """The terms <= limit of one sequence, strictly increasing (checked).
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.terms, self.terms[1:])):
+    A named tuple rather than a dataclass: the a363675 and a363676
+    commands import neither dataclasses nor the table layers.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sequence_id: str, limit: int, terms: tuple[int, ...]):
+        if any(a >= b for a, b in zip(terms, terms[1:])):
             raise ValueError("sequence terms must be strictly increasing")
-        if self.terms and self.terms[-1] > self.limit:
+        if terms and terms[-1] > limit:
             raise ValueError("term beyond the requested limit")
+        return super().__new__(cls, sequence_id, limit, terms)
 
 
 def _check_L_limit(name: str, limit: int) -> None:
@@ -133,6 +137,9 @@ def seq_zero_columns_sn(limit: int) -> SequenceRecord:
         raise CapExceededError(
             f"seq_zero_columns_sn({limit}) exceeds cap {ZERO_COLUMNS_CAP}"
         )
+    # imported here, so that only a363701 loads the table layers
+    from .symchar import CycleType, zero_in_small_part_columns
+
     # (n, t, 0) certifies every class of n with a part t >= 4
     for t in range(4, limit + 1):
         for n in range(t, limit + 1):

@@ -13,12 +13,13 @@ walked as a trie, depth first, so those that share their small parts
 share the dicts of that prefix, and one sweep per table build fills
 every column.
 
-class_has_zero sweeps the one column of its class the same way and
-asks whether the dict holds fewer than p(n) shapes.
 zero_in_small_part_columns decides many classes with parts at most 3,
 of every n at once, on one bead count, sharing the columns of their 1s
-and 2s; it decides the a363701 classes that have no vanishing
-certificate.
+and 2s; a class has a zero when its column holds fewer than p(n)
+shapes.  It decides the a363701 classes that have no vanishing
+certificate.  An odd class (an odd number of even parts) of n != 2 is
+not swept: chi_lam' = sgn * chi_lam, so the character of a
+self-conjugate lam vanishes on it, and one such lam is checked per n.
 
 mn_value evaluates a single chi_lam(mu) by the backward recursion over
 beta-sets, memoized globally on (remaining shape, remaining cycles)
@@ -312,38 +313,52 @@ def an_table(n: int) -> CharacterTable:
     )
 
 
-def class_has_zero(n: int, mu: Partition) -> bool:
-    """Does some chi_lam vanish on class mu?
+def _self_conjugate_shape(n: int) -> Partition:
+    """A shape of n equal to its conjugate, for n != 2: the one with
+    principal hooks (n) for odd n, (n - 1, 1) for even n."""
+    k = n // 2
+    if n % 2:
+        return (k + 1,) + (1,) * k
+    return (k, 2) + (1,) * (k - 2)
 
-    One forward sweep of the column of mu from the empty shape, parts
-    smallest first, as in _sweep: _add_hooks drops zero sums, so a
-    shape is missing from the column exactly when its character
-    vanishes on mu.
-    """
-    column = {(1 << n) - 1: 1}
-    for t in reversed(mu):
-        column = _add_hooks(column, t)
-    return len(column) < partition_counts(n)[n]
+
+@cache
+def self_conjugate_certificate(n: int) -> Partition:
+    """_self_conjugate_shape(n), checked to be a partition of n equal to
+    its conjugate.  chi_lam' = sgn * chi_lam, so its character vanishes
+    on every odd class of S_n."""
+    lam = _self_conjugate_shape(n)
+    if sum(lam) != n or conjugate(lam) != lam:
+        raise AssertionError(f"self-conjugate certificate {lam} fails for n = {n}")
+    return lam
 
 
 def zero_in_small_part_columns(groups: dict[K, list[Partition]]) -> set[K]:
     """The keys of groups whose classes all have a zero in their column.
 
     Every class is (3^a 2^b 1^c), a class of S_n for n = 3a + 2b + c.
-    All of them are swept as in class_has_zero, on one bead count, the
-    largest n, in the order of (c, b, a): the column of 1^c grows by one
-    1-hook at a time, the column of 1^c 2^b grows from it by one 2-hook
-    at a time, and a class adds its a 3-hooks to the latter.  So classes
-    of every n share the sweep of their 1s and 2s, and at most three
-    columns are held.  A key is dropped at its first class without a
-    zero; its other classes are not swept.
+    An odd class (b odd) of n != 2 has a zero, on the character of
+    self_conjugate_certificate(n).  The others are swept from the empty
+    shape, parts smallest first, as in _sweep: _add_hooks drops zero
+    sums, so a class has a zero exactly when its column holds fewer than
+    p(n) shapes.  They are swept on one bead count, the largest n, in
+    the order of (c, b, a): the column of 1^c grows by one 1-hook at a
+    time, the column of 1^c 2^b grows from it by one 2-hook at a time,
+    and a class adds its a 3-hooks to the latter.  So classes of every n
+    share the sweep of their 1s and 2s, and at most three columns are
+    held.  A key is dropped at its first class without a zero; its other
+    classes are not swept.
     """
     todo = []
     for key, mus in groups.items():
         for mu in mus:
+            n = sum(mu)
             c, b, a = mu.count(1), mu.count(2), mu.count(3)
-            if c + 2 * b + 3 * a != sum(mu):
+            if c + 2 * b + 3 * a != n:
                 raise ValueError(f"class {mu} has a part above 3")
+            if b % 2 and n != 2:
+                self_conjugate_certificate(n)  # vanishes on this class
+                continue
             todo.append(((c, b, a), key))
     todo.sort(key=lambda item: item[0])
     beads = max((c + 2 * b + 3 * a for (c, b, a), _key in todo), default=0)

@@ -12,9 +12,9 @@ from sympy.matrices.normalforms import hermite_normal_form
 from knutson.algnum import CyclotomicTau, MultiQuadratic, rational_value
 from knutson.chartable import CharacterTable, Irrep
 from knutson.errors import TableError
-from knutson.partitions import degree_hook, partitions
+from knutson.partitions import degree_hook, partition_counts, partitions
 from knutson.sequences import vanishing_certificate
-from knutson.symchar import CycleType, class_has_zero, cycle_types, mn_value
+from knutson.symchar import CycleType, _add_hooks, cycle_types, mn_value
 
 Matrix = list[list[int]]
 
@@ -68,6 +68,20 @@ def column_relations(table: CharacterTable) -> None:
                     f"{table.label}: column orthogonality fails at "
                     f"({table.classes[k].label}, {table.classes[l].label}): {got}"
                 )
+
+
+def class_has_zero(n: int, mu: tuple[int, ...]) -> bool:
+    """Does some chi_lam vanish on class mu?
+
+    One forward sweep of the column of mu from the empty shape, parts
+    smallest first, as in symchar._sweep: _add_hooks drops zero sums, so
+    a shape is missing from the column exactly when its character
+    vanishes on mu.
+    """
+    column = {(1 << n) - 1: 1}
+    for t in reversed(mu):
+        column = _add_hooks(column, t)
+    return len(column) < partition_counts(n)[n]
 
 
 def class_has_zero_scan(n: int, mu: tuple[int, ...]) -> bool:

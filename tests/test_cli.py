@@ -10,19 +10,17 @@ import time
 from contextlib import contextmanager
 from datetime import timedelta
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from knutson import cli, numtheory
+from knutson import cli, knutsonlat, numtheory, sequences, sl2tables, symchar
 from knutson.algnum import CyclotomicTau, MultiQuadratic
 from knutson.chartable import CharacterTable, Irrep
-from knutson.cli import (
-    cache_load,
-    cache_store,
-    get_table,
-    main,
+from knutson.cli import cache_load, cache_store, get_table, main
+from knutson.tablejson import (
     table_from_json,
     table_to_json,
     value_from_json,
@@ -35,6 +33,9 @@ from knutson.sequences import L_SEQUENCES_CAP, ZERO_COLUMNS_CAP, SequenceRecord
 from knutson.symchar import DEFAULT_CAP, an_table, sn_table
 
 from oracles import count_t_cores_quotient, with_entry
+
+# the module: the package attribute `knutson.partitions` is the function
+partitions_module = import_module("knutson.partitions")
 
 
 @pytest.fixture(autouse=True)
@@ -131,8 +132,9 @@ def test_no_sympy_at_runtime():
 
 
 def test_lattice_layer_does_not_load_sl2_tables():
-    # knutsonlat is group-agnostic: importing it (past the package
-    # __init__, which imports every module) pulls in no SL2 code
+    # knutsonlat is group-agnostic: importing it pulls in no SL2 code.
+    # The package is built by hand, so that the check does not rest on
+    # what the package __init__ imports.
     pkg = Path(cli.__file__).resolve().parent
     code = (
         "import sys, types; "
@@ -489,13 +491,13 @@ def test_main_knutson_single_char(capsys):
 def test_main_verify_cores(capsys, monkeypatch):
     # the brute force decides all six t in one pass over partitions(n)
     # for each n <= 40; the report is pinned as a whole
-    calls, enumerate_partitions = [], cli.partitions
+    calls, enumerate_partitions = [], partitions_module.partitions
 
     def counted(n):
         calls.append(n)
         return enumerate_partitions(n)
 
-    monkeypatch.setattr(cli, "partitions", counted)
+    monkeypatch.setattr(partitions_module, "partitions", counted)
     assert main(["verify", "cores"]) == 0
     assert sorted(calls) == list(range(41))
     names = (
@@ -518,9 +520,9 @@ def test_verify_checks_report_expected_and_found(capsys, monkeypatch, broken):
     # found equals expected exactly when a check passes; with every index
     # reported as 2, the K = 2 checks pass and the rest fail
     if broken:
-        monkeypatch.setattr(cli, "knutson_index_group", lambda table: 2)
+        monkeypatch.setattr(knutsonlat, "knutson_index_group", lambda table: 2)
         monkeypatch.setattr(
-            cli, "seq_L_An", lambda limit: SequenceRecord("a363676", limit, (1,))
+            sequences, "seq_L_An", lambda limit: SequenceRecord("a363676", limit, (1,))
         )
     for suite in ("sequences", "knutson-small"):
         assert main(["verify", suite]) == (1 if broken else 0)
@@ -536,12 +538,16 @@ def test_verify_cores_reports_the_failing_n(capsys, monkeypatch, broken):
     # each range check expects no failing n and finds the n it breaks at:
     # sigma3 is wrong at 3 * 5 + 1, exists_t_core at (4, 2), quadform_xxyy at 7
     if broken:
-        sigma3, exists, quadform = cli.sigma3, cli.exists_t_core, cli.quadform_xxyy
-        monkeypatch.setattr(cli, "sigma3", lambda m: sigma3(m) + (m == 16))
+        sigma3, quadform = numtheory.sigma3, numtheory.quadform_xxyy
+        exists = partitions_module.exists_t_core
+        monkeypatch.setattr(numtheory, "sigma3", lambda m: sigma3(m) + (m == 16))
         monkeypatch.setattr(
-            cli, "exists_t_core", lambda n, t: exists(n, t) != ((n, t) == (4, 2))
+            partitions_module, "exists_t_core",
+            lambda n, t: exists(n, t) != ((n, t) == (4, 2)),
         )
-        monkeypatch.setattr(cli, "quadform_xxyy", lambda n: quadform(n) != (n == 7))
+        monkeypatch.setattr(
+            numtheory, "quadform_xxyy", lambda n: quadform(n) != (n == 7)
+        )
     assert main(["verify", "cores"]) == (1 if broken else 0)
     checks = json.loads(capsys.readouterr().out)["checks"]
     for c in checks:
@@ -562,7 +568,7 @@ def test_verify_sl2_rho_reports_each_row_outcome(capsys, monkeypatch, broken):
             got.selected_rows()["chi_odd"].correction = None
         return got
 
-    monkeypatch.setattr(cli, "paper_rho_inverses", report)
+    monkeypatch.setattr(sl2tables, "paper_rho_inverses", report)
     assert main(["verify", "sl2-rho", "--q", "7"]) == (1 if broken else 0)
     column, *rows = json.loads(capsys.readouterr().out)["checks"]
     assert column == {
@@ -612,8 +618,8 @@ def test_verify_orthogonality_names_the_failing_pair(capsys, monkeypatch):
         if isinstance(v, MultiQuadratic) and not v.is_rational()
     )
     bad_a5 = with_entry(a5, i, k, -a5.irreps[i].values[k])
-    monkeypatch.setattr(cli, "sn_table", lambda n: bad_s4 if n == 4 else sn_table(n))
-    monkeypatch.setattr(cli, "an_table", lambda n: bad_a5 if n == 5 else an_table(n))
+    monkeypatch.setattr(symchar, "sn_table", lambda n: bad_s4 if n == 4 else sn_table(n))
+    monkeypatch.setattr(symchar, "an_table", lambda n: bad_a5 if n == 5 else an_table(n))
     assert main(["verify", "orthogonality"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     failed = [c for c in checks if not c["pass"]]
@@ -629,7 +635,7 @@ def test_verify_orthogonality_lets_bugs_through(monkeypatch):
     def buggy(n):
         raise TypeError("a bug, not a failed check")
 
-    monkeypatch.setattr(cli, "an_table", buggy)
+    monkeypatch.setattr(symchar, "an_table", buggy)
     with pytest.raises(TypeError):
         main(["verify", "orthogonality"])
 
@@ -660,7 +666,7 @@ def test_exit_code_verification_failure(capsys, monkeypatch, exc):
     def broken(n):
         raise exc("orthogonality fails\nat (c, d)")
 
-    monkeypatch.setattr(cli, "sn_table", broken)
+    monkeypatch.setattr(symchar, "sn_table", broken)
     assert main(["table", "sn", "4", "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -677,7 +683,7 @@ def test_exit_code_fusion_range_check(capsys, monkeypatch):
         good.label, good.order, good.classes,
         (good.irreps[0], bad_row) + good.irreps[2:], good.identity_index,
     )
-    monkeypatch.setattr(cli, "sn_table", lambda n: bad)
+    monkeypatch.setattr(symchar, "sn_table", lambda n: bad)
     assert main(["knutson", "sn", "4", "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: verification failed") and err.count("\n") == 1
@@ -688,7 +694,7 @@ def test_exit_code_orthogonality_check_sl2(capsys, monkeypatch):
     # row orthogonality checked before its first index fails
     good = sl2_table(5)
     bad = with_entry(good, 1, 2, good.irreps[1].values[2] + 1)
-    monkeypatch.setattr(cli, "sl2_table", lambda q: bad)
+    monkeypatch.setattr(sl2tables, "sl2_table", lambda q: bad)
     assert main(["knutson", "sl2", "5", "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: verification failed") and err.count("\n") == 1
@@ -699,7 +705,7 @@ def test_irrational_identity_value_exits_1(capsys, monkeypatch):
     a5 = an_table(5)
     i = a5.degrees.index(4)
     monkeypatch.setattr(
-        cli, "an_table",
+        symchar, "an_table",
         lambda n: with_entry(a5, i, a5.identity_index, 4 + MultiQuadratic.sqrt(5)),
     )
     assert main(["table", "an", "5", "--no-cache"]) == 1

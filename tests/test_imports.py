@@ -1,0 +1,102 @@
+"""What each entry point loads, in a fresh interpreter.
+
+`import knutson` loads no submodule, and each CLI command imports only
+the layers it runs.  The interpreter runs with -S, so that modules a
+site hook preloads cannot hide an import, and reports the modules that
+appeared while it ran.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+STDLIB = ("dataclasses", "hashlib", "tempfile")
+
+
+def _fresh(code: str) -> dict:
+    """Run code in a fresh interpreter: the knutson and STDLIB modules
+    it loaded, and the value its variable `out` ends with, if any."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "new = set(sys.modules) - before\n"
+        "print(json.dumps({'knutson': sorted(m for m in new if m.startswith('knutson')),"
+        f" 'stdlib': sorted(m for m in {STDLIB!r} if m in new),"
+        " 'out': globals().get('out')}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_knutson_loads_no_submodule():
+    got = _fresh("import knutson")
+    assert got["knutson"] == ["knutson"]
+    assert got["stdlib"] == []
+
+
+COMBINATORICS = ["cli", "errors", "numtheory", "partitions"]
+INDEX = COMBINATORICS + ["algnum", "charring", "chartable", "knutsonlat", "symchar"]
+
+
+@pytest.mark.parametrize(
+    "argv, layers, stdlib",
+    [
+        ("seq a363675 --limit 10", COMBINATORICS + ["sequences"], []),
+        ("seq a363676 --limit 10", COMBINATORICS + ["sequences"], []),
+        ("cores --n 10 --t 3 --format json", COMBINATORICS, []),
+        ("knutson sn 4 --no-cache", INDEX, ["dataclasses"]),
+    ],
+    ids=["seq-a363675", "seq-a363676", "cores", "knutson-sn-4"],
+)
+def test_command_loads_only_its_layers(argv, layers, stdlib):
+    got = _fresh(
+        "import contextlib, io\n"
+        "from knutson.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv.split()!r}) == 0"
+    )
+    assert got["knutson"] == sorted(["knutson"] + [f"knutson.{m}" for m in layers])
+    assert got["stdlib"] == stdlib
+
+
+def test_public_names_are_the_defining_modules_objects():
+    # the first access comes after cli has imported the partitions
+    # submodule, which must not shadow the partitions function
+    got = _fresh(
+        "import knutson\n"
+        "from knutson import cli, numtheory\n"
+        "cli.main(['cores', '--n', '4', '--t', '2'])\n"
+        "objs = {name: getattr(knutson, name) for name in knutson.__all__}\n"
+        "out = [name for name, obj in objs.items()"
+        " if getattr(sys.modules[obj.__module__], name) is not obj]\n"
+        "out += [m.__name__ for m in (cli, numtheory)]"
+    )
+    assert got["out"] == ["knutson.cli", "knutson.numtheory"]
+
+
+def test_star_import_binds_every_public_name():
+    got = _fresh(
+        "import knutson\n"
+        "from knutson import *\n"
+        "out = [name for name in knutson.__all__ if globals()[name] is not getattr(knutson, name)]"
+    )
+    assert got["out"] == []
+    assert len(got["knutson"]) == 11  # the package and the 10 modules behind __all__
+
+
+def test_dir_lists_the_public_names_and_others_raise():
+    import knutson
+
+    assert set(knutson.__all__) <= set(dir(knutson))
+    with pytest.raises(AttributeError):
+        knutson.class_has_zero  # a test oracle now, in tests/oracles.py

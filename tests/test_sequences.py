@@ -1,13 +1,21 @@
 """Sequence generators and the t-core vanishing certificates behind them."""
 
 import random
+from math import factorial, lcm
 
 import pytest
 
 from knutson import sequences
 from knutson.chartable import zero_in_every_nontrivial_column
 from knutson.errors import CapExceededError
-from knutson.partitions import exists_t_core, find_t_core, is_t_core, partitions
+from knutson.partitions import (
+    conjugate,
+    degree_hook,
+    exists_t_core,
+    find_t_core,
+    is_t_core,
+    partitions,
+)
 from knutson.sequences import (
     SequenceRecord,
     seq_L_An,
@@ -45,6 +53,23 @@ def test_seq_L_An_prefix_and_containment():
     got = seq_L_An(60).terms
     assert got == (1, 2, 5, 6, 8, 10, 12, 17, 21, 30, 36, 57)
     assert set(seq_L_Sn(60).terms) <= set(got)
+
+
+def test_L_sequences_from_the_degrees():
+    # L(S_n) is the lcm of the hook-length degrees f^lam.  A_n has one
+    # irreducible of degree f^lam for each pair lam != lam', and two of
+    # degree f^lam / 2 for each self-conjugate lam (n >= 2; A_1 = S_1).
+    # This uses neither t-cores nor the Loeschian criterion.
+    limit = 30  # about 1 s; n <= 32 took up to 1.7 s
+    s_terms, a_terms = set(seq_L_Sn(limit).terms), set(seq_L_An(limit).terms)
+    for n in range(1, limit + 1):
+        l_sn = l_an = 1
+        for lam in partitions(n):
+            f = degree_hook(lam)
+            l_sn = lcm(l_sn, f)
+            l_an = lcm(l_an, f // 2 if n > 1 and conjugate(lam) == lam else f)
+        assert (n in s_terms) == (l_sn == factorial(n)), n
+        assert (n in a_terms) == (l_an == max(factorial(n) // 2, 1)), n
 
 
 def test_vanishing_certificate_is_reverified():

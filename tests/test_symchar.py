@@ -4,20 +4,21 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from oracles import class_has_zero_scan, fraction_entries, with_entry
+from oracles import class_has_zero, class_has_zero_scan, fraction_entries, with_entry
 
 from knutson.algnum import MultiQuadratic, rational_value
 from knutson.errors import CapExceededError, TableError
 from knutson.partitions import conjugate, degree_hook, partitions, principal_hooks
+from knutson import symchar
 from knutson.symchar import (
     CycleType,
     _add_hooks,
     _shape_mask,
     an_table,
-    class_has_zero,
     cycle_types,
     mn_value,
     rim_hook_removals,
+    self_conjugate_certificate,
     sn_table,
     zero_in_small_part_columns,
 )
@@ -224,6 +225,43 @@ def test_small_part_sweep_matches_class_has_zero():
     }
     with pytest.raises(ValueError):
         zero_in_small_part_columns({5: [(4, 1)]})
+
+
+def test_odd_small_part_classes_vanish_on_a_self_conjugate_shape():
+    # every odd class with parts at most 3 of S_n, n <= 24, has a zero,
+    # on the certificate's character (by mn_value) and by the oracle's
+    # one-column sweep; the sweep skips them all.  S_2 has no
+    # self-conjugate shape, and its transposition no zero.
+    odd = [
+        mu for n in range(1, 25) if n != 2
+        for mu in partitions(n, 3) if mu.count(2) % 2
+    ]
+    assert len(odd) == 255
+    for mu in odd:
+        lam = self_conjugate_certificate(sum(mu))
+        assert conjugate(lam) == lam and mn_value(lam, mu) == 0, mu
+        assert class_has_zero(sum(mu), mu), mu
+    assert zero_in_small_part_columns({mu: [mu] for mu in odd}) == set(odd)
+    assert not class_has_zero(2, (2,))
+    assert zero_in_small_part_columns({(2,): [(2,)]}) == set()
+
+
+@pytest.mark.parametrize("corrupt", ["not_self_conjugate", "wrong_size"])
+def test_corrupted_self_conjugate_shape_raises(monkeypatch, corrupt):
+    real = symchar._self_conjugate_shape
+    if corrupt == "not_self_conjugate":
+        fake = lambda n: (n - 1, 1)
+    else:
+        # self-conjugate, but a shape of n - 2
+        fake = lambda n: real(n - 2)
+    monkeypatch.setattr(symchar, "_self_conjugate_shape", fake)
+    # the certificate is memoized for the process; a failed check caches
+    # nothing, so only sound certificates outlive the patch
+    self_conjugate_certificate.cache_clear()
+    with pytest.raises(AssertionError):
+        zero_in_small_part_columns({7: [(2, 1, 1, 1, 1, 1)]})
+    with pytest.raises(AssertionError):
+        self_conjugate_certificate(6)
 
 
 def test_nonvanishing_classes_small():
