@@ -6,21 +6,14 @@ defines it, so a command pays only for the layers it runs.
 `from knutson import *` and `from knutson import cli` work as before.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "1.0.0"
 
 _EXPORTS = {
     "algnum": ("CyclotomicTau", "MultiQuadratic"),
-    "chartable": (
-        "CharacterTable", "ConjClass", "Irrep", "zero_in_every_nontrivial_column",
-    ),
-    "charring": (
-        "VirtualCharacter", "fusion_matrix", "inner_product",
-        "regular_character", "trivial_index",
-    ),
+    "chartable": ("CharacterTable", "ConjClass", "Irrep"),
+    "charring": ("VirtualCharacter", "fusion_matrix"),
     "errors": ("CapExceededError", "TableError"),
     "knutsonlat": (
         "generalized_lower_bound", "is_rho_invertible", "knutson_index_char",
@@ -28,14 +21,11 @@ _EXPORTS = {
         "solve_integer", "zero_column_criterion",
     ),
     "numtheory": ("is_loeschian", "is_triangular", "quadform_xxyy", "sigma3"),
-    "partitions": (
-        "count_t_cores", "exists_t_core", "find_t_core", "is_t_core", "partitions",
-    ),
+    "partitions": ("count_t_cores", "exists_t_core", "find_t_core", "is_t_core"),
     "sequences": ("SequenceRecord", "seq_L_An", "seq_L_Sn", "seq_zero_columns_sn"),
     "sl2tables": (
-        "Sl2Param", "lcm_degrees_sl2_expected", "paper_rho_inverses",
-        "psl2_table", "rho_theorem_character", "sl2_table",
-        "verify_rho_pm_obstruction",
+        "Sl2Param", "paper_rho_inverses", "psl2_table",
+        "rho_theorem_character", "sl2_table", "verify_rho_pm_obstruction",
     ),
     "symchar": ("an_table", "cycle_types", "mn_value", "sn_table"),
 }
@@ -58,19 +48,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
-
-class _Package(ModuleType):
-    """The package, whose public names win over its submodules'.
-
-    Importing a submodule binds it on the package.  For `partitions`,
-    both a submodule and a public function, that would replace the
-    function; so a submodule is not bound under a public name.
-    """
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _MODULE_OF and isinstance(value, ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

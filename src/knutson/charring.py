@@ -52,16 +52,6 @@ class VirtualCharacter:
         )
 
 
-def inner_product(x: VirtualCharacter, y: VirtualCharacter) -> int:
-    """<x, y> over the table, exact; must come out integral."""
-    if x.table is not y.table:
-        raise ValueError("mixed tables")
-    got = x.table.inner_product_rows(x.values(), y.values())
-    if got.denominator != 1:
-        raise AssertionError(f"non-integral inner product {got}")
-    return got.numerator
-
-
 def _residue_rows(table: CharacterTable) -> tuple[int, list, list]:
     """(p, phi(chi_b(k)), phi(|C_k| conj(chi_b(k)) / |G|)), once per table."""
     if table._residue_rows is None:
@@ -125,22 +115,3 @@ def fusion_matrix(table: CharacterTable, a: int) -> list[list[int]]:
     table._fusion_cache[a] = matrix
     return matrix
 
-
-def regular_character(table: CharacterTable) -> VirtualCharacter:
-    """sum of deg(chi) * chi; |G| at the identity, 0 elsewhere (asserted)."""
-    reg = VirtualCharacter(table, table.degrees)
-    want = tuple(
-        table.order if k == table.identity_index else 0
-        for k in range(len(table.classes))
-    )
-    if reg.values() != want:
-        raise AssertionError("regular character evaluation failed")
-    return reg
-
-
-def trivial_index(table: CharacterTable) -> int:
-    """Index of the trivial character (all values 1)."""
-    for i, ir in enumerate(table.irreps):
-        if ir.degree == 1 and all(v == 1 for v in ir.values):
-            return i
-    raise AssertionError("table has no trivial character")

@@ -41,7 +41,7 @@ class CharacterTable:
     _fusion_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _residue_rows: tuple | None = field(default=None, repr=False, compare=False)
     # knutsonlat's integer rows per class and d per zero set; None until
-    # the first index
+    # the first index or zero-column check
     _class_rows: tuple | None = field(default=None, repr=False, compare=False)
     _zero_set_d: dict | None = field(default=None, repr=False, compare=False)
     # set by the first check_orthogonality that passes
@@ -129,15 +129,3 @@ class CharacterTable:
                     raise TableError(f"{self.label}: <{x.label},{y.label}> = {got}")
         self._orthogonal = True
 
-
-def zero_in_every_nontrivial_column(table: CharacterTable) -> bool:
-    """Whether each non-identity class has some vanishing irreducible.
-
-    A table with no non-trivial columns (trivial group) counts as True.
-    """
-    for k in range(len(table.classes)):
-        if k == table.identity_index:
-            continue
-        if all(ir.values[k] for ir in table.irreps):
-            return False
-    return True

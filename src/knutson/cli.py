@@ -260,7 +260,7 @@ def cmd_knutson(args) -> int:
     if args.kind == "sl2" and args.param % 2 and args.param >= 5:
         from .sl2tables import paper_rho_inverses, verify_rho_pm_obstruction
 
-        rho_report = paper_rho_inverses(args.param)
+        rho_report = paper_rho_inverses(table)
         rows = {}
         for name, row in rho_report.selected_rows().items():
             rows[name] = {
@@ -279,7 +279,7 @@ def cmd_knutson(args) -> int:
             "rows": rows,
         }
         if args.rho == "theorem":
-            report["rho_pm_obstruction"] = verify_rho_pm_obstruction(args.param)
+            report["rho_pm_obstruction"] = verify_rho_pm_obstruction(table)
     if args.format == "json":
         import json
 
@@ -367,9 +367,9 @@ def _suite_sequences() -> list[dict]:
 
 
 def _suite_sl2_rho(q: int) -> list[dict]:
-    from .sl2tables import paper_rho_inverses
+    from .sl2tables import paper_rho_inverses, sl2_table
 
-    report = paper_rho_inverses(q)
+    report = paper_rho_inverses(sl2_table(q))
     checks = [{
         "name": f"column assignment q={q}",
         "pass": True,
@@ -476,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_args(p):
+    def add_group_args(p, formats):
         p.add_argument("kind", choices=["sn", "an", "sl2", "psl2"])
         p.add_argument("param", type=int)
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--no-cache", action="store_true")
 
     p_table = sub.add_parser("table", help="print a character table")
-    add_group_args(p_table)
+    add_group_args(p_table, ["text", "json", "csv"])
     p_table.set_defaults(func=cmd_table)
 
     p_seq = sub.add_parser("seq", help="print an integer sequence")
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.set_defaults(func=cmd_seq)
 
     p_kn = sub.add_parser("knutson", help="Knutson-index report for a group")
-    add_group_args(p_kn)
+    add_group_args(p_kn, ["text", "json"])
     p_kn.add_argument("--char", default=None, help="single character label")
     p_kn.add_argument("--rho", choices=["regular", "theorem"], default="regular")
     p_kn.set_defaults(func=cmd_knutson)

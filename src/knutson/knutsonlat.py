@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algnum import integer_rows
-from .chartable import CharacterTable, zero_in_every_nontrivial_column
+from .chartable import CharacterTable
 from .charring import VirtualCharacter, fusion_matrix
 from .errors import CapExceededError
 
@@ -179,6 +179,28 @@ def check_index_cap(label: str, classes: int) -> None:
         )
 
 
+def _class_rows(table: CharacterTable) -> tuple:
+    """The integer rows of each class (algnum.integer_rows), memoised on
+    the table on first use, after its row orthogonality is checked: no
+    fusion matrix is built, so nothing else guards the values the
+    indices are read from.
+    """
+    if table._class_rows is None:
+        table.check_orthogonality()
+        table._class_rows = tuple(
+            integer_rows(ir.values[k] for ir in table.irreps)
+            for k in range(len(table.classes))
+        )
+        table._zero_set_d = {}
+    return table._class_rows
+
+
+def _zero_set(rows: tuple, chi: int) -> tuple[int, ...]:
+    """The classes chi vanishes on: those where column chi of the
+    class's integer rows is zero."""
+    return tuple(k for k, rk in enumerate(rows) if not any(r[chi] for r in rk))
+
+
 def _support_multiplier(table: CharacterTable, chi: int) -> int:
     """d: the gcd of lambda(1) over the virtual lambda vanishing on
     supp(chi) minus the identity, one HNF solve per zero set of chi.
@@ -186,22 +208,11 @@ def _support_multiplier(table: CharacterTable, chi: int) -> int:
     M has the integer rows of every class in that support, then the
     degrees; M*x = d*e_last says lambda = sum x_i chi_i vanishes there
     and lambda(1) = d, and min_multiplier re-verifies that witness.
-    The rows of each class and d per zero set are memoised on the table
-    on first use, after its row orthogonality is checked: no fusion
-    matrix is built, so nothing else guards the values the indices are
-    read from.
+    d is memoised on the table per zero set.
     """
+    rows = _class_rows(table)
     memo = table._zero_set_d
-    if memo is None:
-        table.check_orthogonality()
-        table._class_rows = tuple(
-            integer_rows(ir.values[k] for ir in table.irreps)
-            for k in range(len(table.classes))
-        )
-        memo = table._zero_set_d = {}
-    # chi vanishes on class k exactly when column chi of its rows does
-    rows = table._class_rows
-    zeros = tuple(k for k, rk in enumerate(rows) if not any(r[chi] for r in rk))
+    zeros = _zero_set(rows, chi)
     d = memo.get(zeros)
     if d is None:
         m = [
@@ -249,9 +260,11 @@ def zero_column_criterion(table: CharacterTable) -> int | None:
     """K' = K certified when every non-trivial column has a zero.
 
     Returns the common value K, or None when the criterion does not
-    apply.
+    apply.  The zeros are read from the integer rows the indices use.
     """
-    if not zero_in_every_nontrivial_column(table):
+    rows = _class_rows(table)
+    zeros = set().union(*(_zero_set(rows, chi) for chi in range(len(table.irreps))))
+    if len(zeros | {table.identity_index}) < len(rows):
         return None
     return knutson_index_group(table)
 

@@ -27,13 +27,15 @@ is written out twice.  The same specs serve even q, which has one
 unipotent class and no z.  Sl2Param.from_q is the one check of the
 caps: q <= ODD_CAP for odd q and q <= EVEN_CAP for even q.
 
-The rho machinery lives here too.  rho+ and rho-, the sums of
-chi(1)*chi over the irreducibles fixing and negating -id, are built
-once: rho = 2*rho+ is the theorem's character, and the pair carries the
-obstruction certifying K'(SL2(q)) = 1.  The published seven-row table
-of explicit inverses has its two columns both headed "q = 1 mod 4"
-(an evident misprint), so the column-to-residue assignment is resolved
-by exact verification rather than by trusting either header.  One row
+The rho machinery lives here too.  It takes the SL2(q) table its
+caller holds, for odd q >= 5, and reads q off it as psi's degree.
+rho+ and rho-, the sums of chi(1)*chi over the irreducibles fixing and
+negating -id, are built once: rho = 2*rho+ is the theorem's character,
+and the pair carries the obstruction certifying K'(SL2(q)) = 1.  The
+published seven-row table of explicit inverses has its two columns
+both headed "q = 1 mod 4" (an evident misprint), so the
+column-to-residue assignment is resolved by exact verification rather
+than by trusting either header.  One row
 ("chi_i with i odd", second column) carries the coefficient (q-1)/3,
 which is not even an integer for most q; that row is reported with its
 exact discrepancy, and a small coefficient search looks for a verifying
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import lcm
 
 from .algnum import CyclotomicTau
@@ -197,7 +198,6 @@ def _sl2(par: Sl2Param) -> CharacterTable:
     return CharacterTable(f"SL2({q})", par.order, tuple(classes), tuple(irreps))
 
 
-@cache
 def sl2_table(q: int) -> CharacterTable:
     """Exact character table of SL2(q); orthogonality-validated."""
     table = _sl2(Sl2Param.from_q(q))
@@ -242,7 +242,6 @@ def _psl2_odd(sl2: CharacterTable) -> CharacterTable:
     return CharacterTable(f"P{sl2.label}", sl2.order // 2, classes, irreps)
 
 
-@cache
 def psl2_table(q: int) -> CharacterTable:
     """Exact character table of PSL2(q); equals SL2(q) for even q."""
     sl2 = sl2_table(q)
@@ -258,30 +257,28 @@ def psl2_table(q: int) -> CharacterTable:
     return table
 
 
-def lcm_degrees_sl2_expected(q: int) -> int:
-    """Closed form for the lcm of the degrees of SL2(q), q >= 4."""
-    if q < 4:
-        raise ValueError("the closed form requires q >= 4")
-    base = (q + 1) * q * (q - 1)
-    return base // 2 if q % 2 else base
+def _odd_q(table: CharacterTable) -> int:
+    """q of an SL2(q) table for odd q >= 5, read off as psi's degree;
+    ValueError for any other table.  The row orthogonality check runs
+    here (free once passed), so a cached table is verified where used.
+    """
+    q = next((ir.degree for ir in table.irreps if ir.label == "psi"), 0)
+    if q % 2 == 0 or q < 5 or table.label != f"SL2({q})":
+        raise ValueError(
+            f"the rho machinery requires SL2(q) for odd q >= 5, not {table.label}"
+        )
+    table.check_orthogonality()
+    return q
 
 
-def _odd_sl2_table(q: int, caller: str) -> CharacterTable:
-    """The SL2(q) table for odd q >= 5, where the rho machinery applies."""
-    par = Sl2Param.from_q(q)
-    if par.is_even or q < 5:
-        raise ValueError(f"{caller} requires odd q >= 5")
-    return sl2_table(q)
-
-
-def _rho_pm(q: int, caller: str) -> tuple[VirtualCharacter, VirtualCharacter]:
+def _rho_pm(table: CharacterTable) -> tuple[VirtualCharacter, VirtualCharacter]:
     """(rho+, rho-): the sums of chi(1)*chi over the chi fixing, and the
     chi negating, -id, for odd q >= 5.
 
     They are the only degree-|G|/2 characters vanishing off the centre:
     rho+/- takes |G|/2 at id, +/-|G|/2 at -id and 0 elsewhere (asserted).
     """
-    table = _odd_sl2_table(q, caller)
+    _odd_q(table)
     fixed = set(center_fixed_indices(table))
     pm = tuple(
         VirtualCharacter(table, tuple(
@@ -298,23 +295,25 @@ def _rho_pm(q: int, caller: str) -> tuple[VirtualCharacter, VirtualCharacter]:
     return pm
 
 
-def rho_theorem_character(q: int) -> VirtualCharacter:
+def rho_theorem_character(table: CharacterTable) -> VirtualCharacter:
     """rho = rho+ + rho+, the sum of 2*chi(1)*chi over the chi fixing -id,
-    for odd q >= 5: |G| at +/-id and 0 on every other class."""
-    rho_plus, _ = _rho_pm(q, "rho_theorem_character")
+    of the SL2(q) table for odd q >= 5: |G| at +/-id and 0 on every other
+    class."""
+    rho_plus, _ = _rho_pm(table)
     return rho_plus + rho_plus
 
 
-def verify_rho_pm_obstruction(q: int) -> bool:
-    """Confirm the rho+/- obstruction certifying K'(SL2(q)) = 1, odd q >= 5.
+def verify_rho_pm_obstruction(table: CharacterTable) -> bool:
+    """Confirm the rho+/- obstruction certifying K'(SL2(q)) = 1 on the
+    SL2(q) table, odd q >= 5.
 
     For each of rho+ and rho-, at least one member of the designated
     pair (degree q-1 for q = 1 mod 4, degree q+1 otherwise) must fail to
     be invertible -- otherwise the pair would manufacture a regular
     inverse.
     """
-    pm = _rho_pm(q, "verify_rho_pm_obstruction")
-    table = pm[0].table
+    q = _odd_q(table)
+    pm = _rho_pm(table)
     family = "theta" if q % 4 == 1 else "chi"
     pair = [table.irrep_index(f"{family}{k}") for k in (1, 2)]
     return not any(
@@ -483,8 +482,8 @@ def _search_chi_odd_correction(
     return None
 
 
-def paper_rho_inverses(q: int) -> RhoInverseReport:
-    """Verify the printed rho-inverse rows for odd q >= 5.
+def paper_rho_inverses(table: CharacterTable) -> RhoInverseReport:
+    """Verify the printed rho-inverse rows on the SL2(q) table, odd q >= 5.
 
     Both printed columns are checked against every row; the column under
     which more rows verify is selected (resolving the duplicated header
@@ -492,8 +491,8 @@ def paper_rho_inverses(q: int) -> RhoInverseReport:
     exact discrepancy vectors, and the known suspect row additionally
     gets a bounded coefficient search for a verifying replacement.
     """
-    table = _odd_sl2_table(q, "paper_rho_inverses")
-    rho = rho_theorem_character(q)
+    q = _odd_q(table)
+    rho = rho_theorem_character(table)
     rows = {
         column: {
             name: _verify_row(table, rho, name, columns[i], q)

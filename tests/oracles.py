@@ -1,6 +1,7 @@
 """Brute-force oracles that the package's fast paths are tested against,
-a helper that corrupts one entry of a character table, and one that
-finds the entries holding a Fraction."""
+the closed forms and character-ring helpers only tests use, a helper
+that corrupts one entry of a character table, and one that finds the
+entries holding a Fraction."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from knutson.algnum import CyclotomicTau, MultiQuadratic, rational_value
 from knutson.chartable import CharacterTable, Irrep
+from knutson.charring import VirtualCharacter
 from knutson.errors import TableError
 from knutson.partitions import degree_hook, partition_counts, partitions
 from knutson.sequences import vanishing_certificate
@@ -68,6 +70,58 @@ def column_relations(table: CharacterTable) -> None:
                     f"{table.label}: column orthogonality fails at "
                     f"({table.classes[k].label}, {table.classes[l].label}): {got}"
                 )
+
+
+def inner_product(x: VirtualCharacter, y: VirtualCharacter) -> int:
+    """<x, y> over the table, exact; must come out integral."""
+    if x.table is not y.table:
+        raise ValueError("mixed tables")
+    got = x.table.inner_product_rows(x.values(), y.values())
+    if got.denominator != 1:
+        raise AssertionError(f"non-integral inner product {got}")
+    return got.numerator
+
+
+def regular_character(table: CharacterTable) -> VirtualCharacter:
+    """sum of deg(chi) * chi; |G| at the identity, 0 elsewhere (asserted)."""
+    reg = VirtualCharacter(table, table.degrees)
+    want = tuple(
+        table.order if k == table.identity_index else 0
+        for k in range(len(table.classes))
+    )
+    if reg.values() != want:
+        raise AssertionError("regular character evaluation failed")
+    return reg
+
+
+def trivial_index(table: CharacterTable) -> int:
+    """Index of the trivial character (all values 1)."""
+    for i, ir in enumerate(table.irreps):
+        if ir.degree == 1 and all(v == 1 for v in ir.values):
+            return i
+    raise AssertionError("table has no trivial character")
+
+
+def lcm_degrees_sl2_expected(q: int) -> int:
+    """Closed form for the lcm of the degrees of SL2(q), q >= 4."""
+    if q < 4:
+        raise ValueError("the closed form requires q >= 4")
+    base = (q + 1) * q * (q - 1)
+    return base // 2 if q % 2 else base
+
+
+def zero_in_every_nontrivial_column(table: CharacterTable) -> bool:
+    """Whether each non-identity class has some vanishing irreducible,
+    by a truth test of every value.
+
+    A table with no non-trivial columns (trivial group) counts as True.
+    """
+    for k in range(len(table.classes)):
+        if k == table.identity_index:
+            continue
+        if all(ir.values[k] for ir in table.irreps):
+            return False
+    return True
 
 
 def class_has_zero(n: int, mu: tuple[int, ...]) -> bool:

@@ -8,9 +8,13 @@ see one line per criterion.
 from fractions import Fraction
 from itertools import chain
 
-from oracles import column_relations, cores_present
+from oracles import (
+    column_relations,
+    cores_present,
+    lcm_degrees_sl2_expected,
+    zero_in_every_nontrivial_column,
+)
 
-from knutson.chartable import zero_in_every_nontrivial_column
 from knutson.knutsonlat import (
     knutson_index_char,
     knutson_index_group,
@@ -20,7 +24,6 @@ from knutson.numtheory import is_loeschian, quadform_xxyy, sigma3
 from knutson.partitions import count_t_cores, exists_t_core
 from knutson.sequences import seq_L_An, seq_L_Sn, seq_zero_columns_sn
 from knutson.sl2tables import (
-    lcm_degrees_sl2_expected,
     paper_rho_inverses,
     psl2_table,
     sl2_table,
@@ -82,7 +85,7 @@ def test_criterion_05_knutson_case_formulas():
 def test_criterion_06_rho_inverse_table():
     ok = True
     for q in (5, 13, 7, 11):
-        report = paper_rho_inverses(q)
+        report = paper_rho_inverses(sl2_table(q))
         # exactly one printed column verifies, decided by q mod 4
         ok &= report.column == ("left" if q % 4 == 1 else "right")
         other = "right" if report.column == "left" else "left"
@@ -101,7 +104,7 @@ def test_criterion_06_rho_inverse_table():
 
 
 def test_criterion_07_rho_pm_obstruction():
-    ok = all(verify_rho_pm_obstruction(q) for q in (5, 7, 9, 13))
+    ok = all(verify_rho_pm_obstruction(sl2_table(q)) for q in (5, 7, 9, 13))
     _criterion(7, "rho+/- obstruction certifies K'(SL2(q)) = 1, q in {5,7,9,13}", ok)
 
 

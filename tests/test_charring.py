@@ -1,16 +1,15 @@
 """The representation ring: tensor decomposition, fusion, regular character."""
 
 import pytest
-from oracles import fusion_matrix_exact
-
-from knutson.chartable import CharacterTable, Irrep
-from knutson.charring import (
-    VirtualCharacter,
-    fusion_matrix,
+from oracles import (
+    fusion_matrix_exact,
     inner_product,
     regular_character,
     trivial_index,
 )
+
+from knutson.chartable import CharacterTable, Irrep
+from knutson.charring import VirtualCharacter, fusion_matrix
 from knutson.partitions import conjugate
 from knutson.sl2tables import psl2_table, sl2_table
 from knutson.symchar import an_table, sn_table

@@ -10,13 +10,14 @@ import time
 from contextlib import contextmanager
 from datetime import timedelta
 from fractions import Fraction
-from importlib import import_module
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from knutson import cli, knutsonlat, numtheory, sequences, sl2tables, symchar
+from knutson import (
+    cli, knutsonlat, numtheory, partitions, sequences, sl2tables, symchar,
+)
 from knutson.algnum import CyclotomicTau, MultiQuadratic
 from knutson.chartable import CharacterTable, Irrep
 from knutson.cli import cache_load, cache_store, get_table, main
@@ -33,9 +34,6 @@ from knutson.sequences import L_SEQUENCES_CAP, ZERO_COLUMNS_CAP, SequenceRecord
 from knutson.symchar import DEFAULT_CAP, an_table, sn_table
 
 from oracles import count_t_cores_quotient, with_entry
-
-# the module: the package attribute `knutson.partitions` is the function
-partitions_module = import_module("knutson.partitions")
 
 
 @pytest.fixture(autouse=True)
@@ -488,16 +486,79 @@ def test_main_knutson_single_char(capsys):
     assert obj["index"] in (1, 2)
 
 
+def test_warm_sl2_rho_report_builds_no_table(capsys, monkeypatch):
+    # the rho rows and the obstruction run on the table the command got
+    # from the cache, and report what a fresh build reports
+    builds, build = [], sl2tables._sl2
+
+    def counted(par):
+        builds.append(par.q)
+        return build(par)
+
+    monkeypatch.setattr(sl2tables, "_sl2", counted)
+    argv = ["knutson", "sl2", "13", "--rho", "theorem", "--format", "json"]
+    assert main(argv + ["--no-cache"]) == 0
+    fresh = capsys.readouterr().out
+    assert builds == [13]
+    cache_store("sl2-13", build(sl2tables.Sl2Param.from_q(13)))
+    builds.clear()
+    assert main(argv) == 0
+    assert builds == []
+    assert capsys.readouterr().out == fresh
+
+
+def _rho_rows(report):
+    """A rho-inverse report without its tables: the virtual characters
+    as multiplicity vectors."""
+
+    def mults(chi):
+        return None if chi is None else chi.mults
+
+    return report.q, report.column, {
+        column: [
+            (name, row.targets, row.coefficients, mults(row.lam), row.verified,
+             row.discrepancies, mults(row.correction))
+            for name, row in rows.items()
+        ]
+        for column, rows in report.rows.items()
+    }
+
+
+@pytest.mark.parametrize("q", (7, 13))
+def test_paper_rho_inverses_on_a_cached_table(q):
+    built = sl2_table(q)
+    cache_store(f"sl2-{q}", built)
+    cached = cache_load(f"sl2-{q}")
+    assert not cached._orthogonal
+    got = paper_rho_inverses(cached)
+    assert cached._orthogonal  # checked where it was used
+    assert _rho_rows(got) == _rho_rows(paper_rho_inverses(built))
+
+
+def test_paper_rho_inverses_checks_an_unchecked_table():
+    good = sl2_table(7)
+    bad = with_entry(good, 1, 2, good.irreps[1].values[2] + 1)
+    with pytest.raises(TableError, match=r"SL2\(7\): <1,psi> = "):
+        paper_rho_inverses(bad)
+
+
+def test_knutson_has_no_csv_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["knutson", "sn", "4", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_main_verify_cores(capsys, monkeypatch):
     # the brute force decides all six t in one pass over partitions(n)
     # for each n <= 40; the report is pinned as a whole
-    calls, enumerate_partitions = [], partitions_module.partitions
+    calls, enumerate_partitions = [], partitions.partitions
 
     def counted(n):
         calls.append(n)
         return enumerate_partitions(n)
 
-    monkeypatch.setattr(partitions_module, "partitions", counted)
+    monkeypatch.setattr(partitions, "partitions", counted)
     assert main(["verify", "cores"]) == 0
     assert sorted(calls) == list(range(41))
     names = (
@@ -539,10 +600,10 @@ def test_verify_cores_reports_the_failing_n(capsys, monkeypatch, broken):
     # sigma3 is wrong at 3 * 5 + 1, exists_t_core at (4, 2), quadform_xxyy at 7
     if broken:
         sigma3, quadform = numtheory.sigma3, numtheory.quadform_xxyy
-        exists = partitions_module.exists_t_core
+        exists = partitions.exists_t_core
         monkeypatch.setattr(numtheory, "sigma3", lambda m: sigma3(m) + (m == 16))
         monkeypatch.setattr(
-            partitions_module, "exists_t_core",
+            partitions, "exists_t_core",
             lambda n, t: exists(n, t) != ((n, t) == (4, 2)),
         )
         monkeypatch.setattr(
@@ -562,8 +623,8 @@ def test_verify_cores_reports_the_failing_n(capsys, monkeypatch, broken):
 def test_verify_sl2_rho_reports_each_row_outcome(capsys, monkeypatch, broken):
     # at q = 7 the chi_odd row is accepted through its correction; with
     # the correction withheld it is rejected and the suite fails
-    def report(q):
-        got = paper_rho_inverses(q)
+    def report(table):
+        got = paper_rho_inverses(table)
         if broken:
             got.selected_rows()["chi_odd"].correction = None
         return got

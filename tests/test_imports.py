@@ -70,8 +70,8 @@ def test_command_loads_only_its_layers(argv, layers, stdlib):
 
 
 def test_public_names_are_the_defining_modules_objects():
-    # the first access comes after cli has imported the partitions
-    # submodule, which must not shadow the partitions function
+    # the first access comes after a cli run has imported and bound the
+    # submodules it needs
     got = _fresh(
         "import knutson\n"
         "from knutson import cli, numtheory\n"
@@ -82,6 +82,17 @@ def test_public_names_are_the_defining_modules_objects():
         "out += [m.__name__ for m in (cli, numtheory)]"
     )
     assert got["out"] == ["knutson.cli", "knutson.numtheory"]
+
+
+def test_partitions_import_binds_the_module():
+    # `partitions` names a submodule only; the function is
+    # knutson.partitions.partitions
+    got = _fresh(
+        "import knutson.partitions as m\n"
+        "from knutson import partitions\n"
+        "out = [m.__name__, partitions is m, callable(m.partitions)]"
+    )
+    assert got["out"] == ["knutson.partitions", True, True]
 
 
 def test_star_import_binds_every_public_name():

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     _rank,
     min_multiplier_sympy,
+    regular_character,
     snf_solvable,
     with_entry,
     zero_set_multiplier_dual,
@@ -14,7 +15,7 @@ from oracles import (
 
 from knutson import charring, knutsonlat
 from knutson.chartable import CharacterTable
-from knutson.charring import VirtualCharacter, fusion_matrix, regular_character
+from knutson.charring import VirtualCharacter, fusion_matrix
 from knutson.errors import CapExceededError, TableError
 from knutson.knutsonlat import (
     INDEX_MAX_CLASSES,
@@ -242,7 +243,7 @@ def test_knutson_index_cap(monkeypatch):
 
 @pytest.mark.parametrize("q", (5, 9))
 def test_rho_pm_obstruction(q):
-    assert verify_rho_pm_obstruction(q)
+    assert verify_rho_pm_obstruction(sl2_table(q))
 
 
 def test_fusion_matrix_determinant_structure():

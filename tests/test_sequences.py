@@ -6,7 +6,6 @@ from math import factorial, lcm
 import pytest
 
 from knutson import sequences
-from knutson.chartable import zero_in_every_nontrivial_column
 from knutson.errors import CapExceededError
 from knutson.partitions import (
     conjugate,
@@ -25,7 +24,11 @@ from knutson.sequences import (
 )
 from knutson.symchar import CycleType, cycle_types, mn_value, sn_table
 
-from oracles import class_zero_certified, zero_in_every_column_sn
+from oracles import (
+    class_zero_certified,
+    zero_in_every_column_sn,
+    zero_in_every_nontrivial_column,
+)
 
 
 def test_sequence_record_invariants():

@@ -12,15 +12,15 @@ from knutson.sl2tables import (
     Sl2Param,
     _psl2_odd,
     center_fixed_indices,
-    lcm_degrees_sl2_expected,
     paper_rho_inverses,
     psl2_table,
     rho_theorem_character,
     sl2_table,
+    verify_rho_pm_obstruction,
 )
 from knutson.symchar import an_table, sn_table
 
-from oracles import fraction_entries, with_entry
+from oracles import fraction_entries, lcm_degrees_sl2_expected, with_entry
 from sl2_entries import SL2_CLASSES, SL2_ENTRIES
 from sl2_rho_rows import RHO_ROWS
 
@@ -215,16 +215,32 @@ def test_center_fixed_indices(q):
 @pytest.mark.parametrize("q", ODD_QS)
 def test_rho_theorem_character_values(q):
     table = sl2_table(q)
-    rho = rho_theorem_character(q)
+    rho = rho_theorem_character(table)
     values = rho.values()
     for k in range(len(table.classes)):
         want = table.order if k in (0, 1) else 0
         assert values[k] == want
 
 
+@pytest.mark.parametrize(
+    "build, param",
+    [(psl2_table, 13), (sl2_table, 8), (sl2_table, 3), (sn_table, 5)],
+    ids=["PSL2(13)", "SL2(8)", "SL2(3)", "S5"],
+)
+@pytest.mark.parametrize(
+    "rho_function",
+    [paper_rho_inverses, verify_rho_pm_obstruction, rho_theorem_character],
+    ids=lambda f: f.__name__,
+)
+def test_rho_machinery_rejects_other_tables(rho_function, build, param):
+    # only an SL2(q) table for odd q >= 5 has the rho machinery
+    with pytest.raises(ValueError, match="requires SL2"):
+        rho_function(build(param))
+
+
 @pytest.mark.parametrize("q", (5, 7, 11, 13))
 def test_paper_rho_inverse_rows(q):
-    report = paper_rho_inverses(q)
+    report = paper_rho_inverses(sl2_table(q))
     # the verifying printed column is decided by the residue of q mod 4
     assert report.column == ("left" if q % 4 == 1 else "right")
     for name, row in report.selected_rows().items():
@@ -248,7 +264,7 @@ def test_rho_inverse_mapping_covers_all_irreps(q):
     # target of a row that verifies or was corrected
     table = sl2_table(q)
     covered = {"1"}
-    for row in paper_rho_inverses(q).selected_rows().values():
+    for row in paper_rho_inverses(table).selected_rows().values():
         if row.verified or row.correction is not None:
             covered.update(row.targets)
     assert covered == {ir.label for ir in table.irreps}
@@ -257,7 +273,7 @@ def test_rho_inverse_mapping_covers_all_irreps(q):
 def test_rho_inverse_coefficient_fractions_detected():
     # rows whose printed coefficients are non-integral at this q must be
     # flagged (lam None) rather than silently rounded
-    report = paper_rho_inverses(5)
+    report = paper_rho_inverses(sl2_table(5))
     for rows in report.rows.values():
         for row in rows.values():
             for coeff in row.coefficients.values():
@@ -270,7 +286,7 @@ def test_rho_inverse_coefficient_fractions_detected():
 def test_printed_rows_pinned(q):
     # every row under both columns, the rejected one included: targets,
     # coefficients, and the order of rows and of coefficients
-    report = paper_rho_inverses(q)
+    report = paper_rho_inverses(sl2_table(q))
     for column in ("left", "right"):
         got = [
             (name, row.targets, [(k, str(c)) for k, c in row.coefficients.items()])
@@ -288,7 +304,7 @@ def test_accepted_is_the_negated_exit_4_condition():
     # was corrected; accepted is exactly its negation, on every row
     kinds = set()
     for q in ODD_QS:
-        for rows in paper_rho_inverses(q).rows.values():
+        for rows in paper_rho_inverses(sl2_table(q)).rows.values():
             for row in rows.values():
                 exit_4 = bool(row.targets) and not row.verified and row.correction is None
                 assert row.accepted == (not exit_4)
