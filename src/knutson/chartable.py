@@ -21,7 +21,9 @@ from .errors import TableError
 class ConjClass:
     label: str
     size: int
-    data: Any = None  # e.g. the cycle type for S_n / A_n classes
+    # e.g. the cycle type for S_n / A_n classes; the table cache does
+    # not store it, so it takes no part in comparing tables
+    data: Any = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,12 @@ class CharacterTable:
     identity_index: int = 0
     _fusion_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _residue_rows: tuple | None = field(default=None, repr=False, compare=False)
-    # knutsonlat's integer rows per class and d per zero set; None until
-    # the first index or zero-column check
+    # knutsonlat's integer rows per class and d per zero set, None until
+    # the first index or zero-column check, and its Hermite basis of
+    # those rows, None until the first index
     _class_rows: tuple | None = field(default=None, repr=False, compare=False)
     _zero_set_d: dict | None = field(default=None, repr=False, compare=False)
+    _index_basis: tuple | None = field(default=None, repr=False, compare=False)
     # set by the first check_orthogonality that passes
     _orthogonal: bool = field(default=False, repr=False, compare=False)
 

@@ -6,8 +6,8 @@ verifies nor admits the flagged correction).
 
 Exact values survive serialization through the tagged-union JSON schema
 of knutson.tablejson.  Tables are cached under KNUTSON_CACHE_DIR
-(default ~/.cache/knutson), one `{key}.v3.json` file per table (`.v1`
-and `.v2` files are ignored): the SHA-256 hex digest of the compact
+(default ~/.cache/knutson), one `{key}.v4.json` file per table (`.v1`,
+`.v2` and `.v3` files are ignored): the SHA-256 hex digest of the compact
 table JSON, a newline, then exactly those JSON bytes, written
 atomically via temp-file rename.  An entry that fails its digest or
 does not decode is a miss; a cache that cannot be written is a warning
@@ -28,7 +28,7 @@ import sys
 from .errors import CapExceededError, TableError
 from .partitions import CORES_MAX_N
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 class UsageError(Exception):

@@ -18,12 +18,18 @@ supp(chi) minus the identity.  d depends only on chi's zero set, and
 every table takes the one route: d is the least multiplier of e_last
 against the integer rows of chi's support columns (algnum.integer_rows)
 and the degree row, one solve per distinct zero set, memoised on the
-table once its row orthogonality holds.  Fusion matrices serve only
-rho-invertibility.
+table once its row orthogonality holds.  The rows of every class are
+put in Hermite form once per table (Cohen, A Course in Computational
+Algebraic Number Theory, 2.4), rarest in the zero sets first and the
+degrees last; each zero set's solve then runs on the trailing block
+from its first dropped row on, and its witness is mapped back through
+the transform and re-verified on the class rows (_zero_set_multiplier).
+Fusion matrices serve only rho-invertibility.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -39,10 +45,12 @@ Matrix = list[list[int]]
 RHO_SEARCH_MAX_ORDER = 60
 
 # Most classes a table may have for knutson_index_char.  The cost grows
-# fast with the class count k: whole-group indices took 3.2 s for A14
-# (k = 72), 10.0 s for A15 (k = 94), 7.1 s for S13 (k = 101) and, with
-# the cap lifted, 25.2 s for S14 (k = 135), in process on a 2-core host.
-INDEX_MAX_CLASSES = 101
+# fast with the class count k, most of it the shared Hermite basis:
+# whole-group indices of an orthogonality-checked table took 0.7 s for
+# S13 (k = 101), 3.6 s for S14 (k = 135) and 3.6 s for A16 (k = 123) and,
+# with the cap lifted, 166 s for A17 (k = 156), the next class count of
+# any S_n or A_n, in process on a 2-core host.  So the cap is S14's k.
+INDEX_MAX_CLASSES = 135
 
 
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
@@ -132,10 +140,12 @@ def solve_integer(m: Matrix, b: list[int]) -> list[int] | None:
     return x
 
 
-def min_multiplier(m: Matrix, v: list[int]) -> int | None:
+def min_multiplier(m: Matrix, v: list[int], *, check=None) -> int | None:
     """Least n >= 1 with n*v in the integer column span of M, or None.
 
-    The integer witness x with M*x = n*v is re-verified.
+    The integer witness x with M*x = n*v is re-verified, then passed to
+    check(n, x) when given, for a caller that reads x in coordinates of
+    its own and verifies it there.
     """
     solved = _lattice_solve(m, v)
     if solved is None:
@@ -143,6 +153,8 @@ def min_multiplier(m: Matrix, v: list[int]) -> int | None:
     n, x = solved
     if mat_vec(m, x) != [n * a for a in v]:
         raise AssertionError("min_multiplier witness fails M*x = n*v")
+    if check is not None:
+        check(n, x)
     return n
 
 
@@ -201,31 +213,89 @@ def _zero_set(rows: tuple, chi: int) -> tuple[int, ...]:
     return tuple(k for k, rk in enumerate(rows) if not any(r[chi] for r in rk))
 
 
+def _shared_basis(table: CharacterTable) -> tuple[list[int], list]:
+    """(owner, basis): one Hermite basis per table, for every zero set.
+
+    The integer rows of every class are stacked, the classes rarest
+    first by how many distinct zero sets hold them and the identity,
+    whose row is the degrees, last, so a zero set's first dropped row
+    comes late and its block is small.  owner[i] is the class of
+    stacked row i, and basis is hermite_basis of the stacked rows.
+    Memoised on the table on the first index.
+    """
+    if table._index_basis is None:
+        rows = _class_rows(table)
+        held = Counter(
+            k for z in {_zero_set(rows, chi) for chi in range(len(table.irreps))}
+            for k in z
+        )
+        ident = table.identity_index
+        order = sorted(
+            (k for k in range(len(rows)) if k != ident), key=lambda k: held[k]
+        )
+        order.append(ident)
+        owner = [k for k in order for _ in rows[k]]
+        stacked = [r for k in order for r in rows[k]]
+        table._index_basis = (owner, hermite_basis(stacked))
+    return table._index_basis
+
+
 def _support_multiplier(table: CharacterTable, chi: int) -> int:
     """d: the gcd of lambda(1) over the virtual lambda vanishing on
-    supp(chi) minus the identity, one HNF solve per zero set of chi.
-
-    M has the integer rows of every class in that support, then the
-    degrees; M*x = d*e_last says lambda = sum x_i chi_i vanishes there
-    and lambda(1) = d, and min_multiplier re-verifies that witness.
-    d is memoised on the table per zero set.
+    supp(chi) minus the identity, one solve per zero set of chi,
+    memoised on the table.
     """
     rows = _class_rows(table)
     memo = table._zero_set_d
     zeros = _zero_set(rows, chi)
     d = memo.get(zeros)
     if d is None:
-        m = [
-            r
-            for k, rk in enumerate(rows)
-            if k not in zeros and k != table.identity_index
-            for r in rk
-        ]
-        m.append(list(table.degrees))
-        d = min_multiplier(m, [0] * (len(m) - 1) + [1])
-        if d is None:
-            raise AssertionError("no multiple of rho_reg is attainable")
+        d = _zero_set_multiplier(table, zeros)
         memo[zeros] = d
+    return d
+
+
+def _zero_set_multiplier(table: CharacterTable, zeros: tuple[int, ...]) -> int:
+    """d for the non-identity classes `zeros`, read off the shared basis.
+
+    Write lambda = sum x_i chi_i.  The conditions are F*x = d*e_last
+    over the stacked rows F kept, those of the classes outside `zeros`:
+    lambda vanishes on them, and the last row, the degrees, gives
+    lambda(1) = d.  With H = F*T the shared Hermite basis (T unimodular)
+    and x = T*y, every stacked row before the first dropped row r is
+    kept, and those rows are echelon over the basis vectors pivoting
+    before r, so those y_j are 0.  What remains is the block of kept
+    rows from r on by the basis vectors pivoting at r or later:
+    min_multiplier solves it, and its witness is mapped back through T
+    and re-verified against the class rows.
+    """
+    rows = _class_rows(table)
+    owner, basis = _shared_basis(table)
+    dropped = set(zeros)
+    # with nothing dropped the block is the degree row alone
+    first = next((i for i, k in enumerate(owner) if k in dropped), len(owner) - 1)
+    kept = [i for i in range(first, len(owner)) if owner[i] not in dropped]
+    cols = [(h, t) for p, h, t in basis if p >= first]
+    block = [[h[i] for h, _ in cols] for i in kept]
+    support = [
+        r
+        for k, rk in enumerate(rows)
+        if k not in dropped and k != table.identity_index
+        for r in rk
+    ]
+    support.append(list(table.degrees))
+
+    def check(n: int, y: list[int]) -> None:
+        x = [
+            sum(c * t[j] for c, (_, t) in zip(y, cols))
+            for j in range(len(table.irreps))
+        ]
+        if mat_vec(support, x) != [0] * (len(support) - 1) + [n]:
+            raise AssertionError("zero-set witness fails on the class rows")
+
+    d = min_multiplier(block, [0] * (len(kept) - 1) + [1], check=check)
+    if d is None:
+        raise AssertionError("no multiple of rho_reg is attainable")
     return d
 
 

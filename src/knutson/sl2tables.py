@@ -2,9 +2,10 @@
 
 The tables are instantiated from the classical generic table,
 parametrized by abstract roots of unity alpha of order q-1 and beta of
-order q+1 (realized inside Q(zeta_m) with m = lcm(p, q-1, q+1)) and,
-for odd q, the quadratic element tau with tau^2 = eps*q where
-eps = (-1)^((q-1)/2).  No matrix realizations are needed; the classes
+order q+1 (realized inside Q(zeta_m) with m = lcm(q-1, q+1), the least
+field holding both; p would only enlarge it) and, for odd q, the
+quadratic element tau with tau^2 = eps*q where eps = (-1)^((q-1)/2),
+kept formal.  No matrix realizations are needed; the classes
 are index-parametrized.  Exact row orthogonality is checked on
 construction (the column relations follow from it) -- a transcription
 error in any single entry breaks it.  For odd q the PSL2(q) table is
@@ -113,8 +114,9 @@ class Sl2Param:
 
     @property
     def m(self) -> int:
-        """Order of the ambient cyclotomic field: lcm(p, q-1, q+1)."""
-        return lcm(self.p, self.q - 1, self.q + 1)
+        """Order of the least cyclotomic field holding alpha and beta:
+        lcm(q-1, q+1).  tau is formal, so p adds nothing to it."""
+        return lcm(self.q - 1, self.q + 1)
 
     @property
     def order(self) -> int:

@@ -27,7 +27,7 @@ from knutson.tablejson import (
     value_from_json,
     value_to_json,
 )
-from knutson.sl2tables import EVEN_CAP, paper_rho_inverses, sl2_table
+from knutson.sl2tables import EVEN_CAP, paper_rho_inverses, psl2_table, sl2_table
 from knutson.errors import TableError
 from knutson.partitions import CORES_MAX_N, hook_multiset
 from knutson.sequences import L_SEQUENCES_CAP, ZERO_COLUMNS_CAP, SequenceRecord
@@ -172,6 +172,25 @@ def test_cache_round_trip_is_exact(key, build, param):
     assert table_to_json(cache_load(key)) == table_to_json(built)
 
 
+@pytest.mark.parametrize(
+    "key,build,param",
+    [
+        ("sn-4", sn_table, 4),
+        ("an-6", an_table, 6),
+        ("sl2-7", sl2_table, 7),
+        ("psl2-9", psl2_table, 9),
+    ],
+)
+def test_cached_table_equals_the_built_table(key, build, param):
+    # ConjClass.data (a cycle type, a label tuple) is not cached, and
+    # takes no part in comparing tables
+    built = build(param)
+    cache_store(key, built)
+    cached = cache_load(key)
+    assert cached == built
+    assert [c.data for c in cached.classes] != [c.data for c in built.classes]
+
+
 def _entry(key):
     """(digest line, body) of a stored cache entry."""
     digest, _, body = Path(cli._cache_path(key)).read_bytes().partition(b"\n")
@@ -237,10 +256,10 @@ def test_cache_malformed_file_is_a_miss(damage):
 
 
 def test_cache_ignores_v1_entries(capsys):
-    # well-formed entries of the two old formats, neither holding the
+    # well-formed entries of the three old formats, none holding the
     # table the command prints: the v1 entry's has order 25, and the v2
-    # entry, digest line and all, holds S3 in the current schema.
-    # Neither is ever read.
+    # and v3 entries, digest line and all, hold S3 in the current
+    # schema.  None is ever read.
     payload = table_to_json(sn_table(4))
     payload["order"] = 25
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -252,7 +271,11 @@ def test_cache_ignores_v1_entries(capsys):
     body = json.dumps(table_to_json(sn_table(3)), separators=(",", ":")).encode()
     v2 = hashlib.sha256(body).hexdigest().encode() + b"\n" + body
     directory = Path(cli.cache_dir())
-    old = {directory / "sn-4.v1.json": v1, directory / "sn-4.v2.json": v2}
+    old = {
+        directory / "sn-4.v1.json": v1,
+        directory / "sn-4.v2.json": v2,
+        directory / "sn-4.v3.json": v2,
+    }
     directory.mkdir(parents=True)
     for path, blob in old.items():
         path.write_bytes(blob)
@@ -264,7 +287,7 @@ def test_cache_ignores_v1_entries(capsys):
     assert cached.out.startswith("S4  order 24\n")
     for path, blob in old.items():
         assert path.read_bytes() == blob
-    assert Path(cli._cache_path("sn-4")).name == "sn-4.v3.json"
+    assert Path(cli._cache_path("sn-4")).name == "sn-4.v4.json"
     assert Path(cli._cache_path("sn-4")).is_file()
 
 
@@ -804,15 +827,16 @@ def test_huge_q_exits_3_fast(capsys, argv):
 
 def test_knutson_index_cap_exits_3(capsys):
     with _time_limit(10):
-        assert main(["knutson", "sn", "14", "--no-cache"]) == 3
+        assert main(["knutson", "sn", "15", "--no-cache"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "exceeds cap" in captured.err
 
 
-@pytest.mark.parametrize("kind, n", [("sn", 22), ("an", 16)])
+@pytest.mark.parametrize("kind, n", [("sn", 15), ("sn", 22), ("an", 17)])
 def test_knutson_index_cap_before_the_table_is_built(capsys, kind, n):
     # the class count comes from n, so the table (S22 took 14.5 s) is
-    # never built
+    # never built; S15 (176 classes) and A17 (156) are the first S_n
+    # and A_n past the cap
     start = time.perf_counter()
     with _time_limit(10):
         assert main(["knutson", kind, str(n), "--no-cache"]) == 3
@@ -825,7 +849,8 @@ def test_knutson_index_cap_before_the_table_is_built(capsys, kind, n):
 
 
 def test_knutson_single_char_at_the_index_cap(capsys):
-    assert main(["knutson", "sn", "13", "--char", "(13,)", "--no-cache"]) == 0
+    # S14 has exactly INDEX_MAX_CLASSES = 135 classes
+    assert main(["knutson", "sn", "14", "--char", "(14,)", "--no-cache"]) == 0
     assert "index: 1" in capsys.readouterr().out.splitlines()
 
 
@@ -856,11 +881,11 @@ def _optional(flag, values):
 
 # In-cap inputs that take seconds stay out: tables of S_n and A_n above
 # 12 (the table cap, 22, is such an input) and Knutson indices of tables
-# above 43 classes, S13 at the index cap included.  S14 and A16 are past
+# above 43 classes, S14 at the index cap included.  S15 and A17 are past
 # the index cap, so `knutson` on them exits 3.
 _GROUP_PARAMS = {
-    "sn": _numbers(1, 10, 14, DEFAULT_CAP + 1),
-    "an": _numbers(3, 12, 16, DEFAULT_CAP + 1),
+    "sn": _numbers(1, 10, 15, DEFAULT_CAP + 1),
+    "an": _numbers(3, 12, 17, DEFAULT_CAP + 1),
     "sl2": _numbers(2, 17, EVEN_CAP, EVEN_CAP + 1),
     "psl2": _numbers(2, 17, EVEN_CAP, EVEN_CAP + 1),
 }

@@ -20,6 +20,7 @@ from knutson.errors import CapExceededError, TableError
 from knutson.knutsonlat import (
     INDEX_MAX_CLASSES,
     RHO_SEARCH_MAX_ORDER,
+    check_index_cap,
     generalized_lower_bound,
     hermite_basis,
     is_rho_invertible,
@@ -32,7 +33,7 @@ from knutson.knutsonlat import (
     zero_column_criterion,
 )
 from knutson.sl2tables import psl2_table, sl2_table, verify_rho_pm_obstruction
-from knutson.symchar import an_table, sn_table
+from knutson.symchar import an_table, cycle_types, sn_table
 
 
 def _brute_solvable(m, b, bound):
@@ -235,10 +236,20 @@ def test_knutson_index_cap(monkeypatch):
 
     monkeypatch.setattr(knutsonlat, "fusion_matrix", no_fusion)
     monkeypatch.setattr(knutsonlat, "min_multiplier", no_lattice)
-    table = sn_table(14)
+    monkeypatch.setattr(knutsonlat, "hermite_basis", no_lattice)
+    table = sn_table(15)
     assert len(table.classes) > INDEX_MAX_CLASSES
     with pytest.raises(CapExceededError, match="exceeds cap"):
         knutson_index_char(table, 0)
+
+
+def test_knutson_index_cap_boundary():
+    # S14 has exactly INDEX_MAX_CLASSES classes and S15 the next count
+    # of any S_n or A_n (A17 has 156); the CLI runs S14 at the cap
+    assert len(cycle_types(14)) == INDEX_MAX_CLASSES
+    check_index_cap("S14", INDEX_MAX_CLASSES)
+    with pytest.raises(CapExceededError, match="136 exceeds cap 135"):
+        check_index_cap("X", INDEX_MAX_CLASSES + 1)
 
 
 @pytest.mark.parametrize("q", (5, 9))
@@ -318,6 +329,72 @@ def test_no_index_builds_a_fusion_matrix(monkeypatch):
         )
         knutson_index_group(table)
         assert table._zero_set_d and table._residue_rows is None
+
+
+def _kept_rows_multiplier(table, zeros):
+    """d of a zero set by min_multiplier on the kept class rows and the
+    degrees, in class order: the route without the shared basis."""
+    rows = knutsonlat._class_rows(table)
+    m = [
+        r
+        for k, rk in enumerate(rows)
+        if k not in zeros and k != table.identity_index
+        for r in rk
+    ]
+    m.append(list(table.degrees))
+    return min_multiplier(m, [0] * (len(m) - 1) + [1])
+
+
+_SL2_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 32)  # every q within the caps
+
+
+def test_shared_basis_route_matches_the_kept_rows():
+    # every distinct zero set of S_n (n <= 11), A_n (n <= 12) and
+    # SL2(q), PSL2(q) within the caps, plus the empty zero set (d is
+    # |G|: lambda is a multiple of rho_reg), the first stacked class
+    # alone (the block is every kept row) and random class sets: the
+    # route holds for any set of non-identity classes
+    rng = random.Random(23)
+    tables = (
+        [sn_table(n) for n in range(1, 12)]
+        + [an_table(n) for n in range(3, 13)]
+        + [sl2_table(q) for q in _SL2_QS]
+        + [psl2_table(q) for q in _SL2_QS]
+    )
+    for table in tables:
+        rows = knutsonlat._class_rows(table)
+        zero_sets = {knutsonlat._zero_set(rows, i) for i in range(len(rows))}
+        others = [k for k in range(len(rows)) if k != table.identity_index]
+        first = knutsonlat._shared_basis(table)[0][0]
+        cases = zero_sets | {()}
+        if others:
+            cases.add((first,))
+            for _ in range(3):
+                picked = rng.sample(others, rng.randint(1, len(others)))
+                cases.add(tuple(sorted(picked)))
+        for zeros in cases:
+            d = knutsonlat._zero_set_multiplier(table, zeros)
+            assert d == _kept_rows_multiplier(table, zeros), (table.label, zeros)
+        assert knutsonlat._zero_set_multiplier(table, ()) == table.order
+
+
+def test_shared_basis_witness_is_checked(monkeypatch):
+    # a wrong transform in the shared basis alone: every block solve
+    # verifies, and the witness mapped back fails on the class rows
+    real = knutsonlat.hermite_basis
+    calls = []
+
+    def wrong_shared_transform(m):
+        calls.append(len(m))
+        basis = real(m)
+        if len(calls) == 1:
+            basis = [(p, h, [-x for x in t]) for p, h, t in basis]
+        return basis
+
+    monkeypatch.setattr(knutsonlat, "hermite_basis", wrong_shared_transform)
+    with pytest.raises(AssertionError, match="zero-set witness"):
+        knutson_index_char(an_table(6), 0)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("build", (sn_table, an_table, sl2_table))
