@@ -13,12 +13,13 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "algnum": ("CyclotomicTau", "MultiQuadratic"),
     "chartable": ("CharacterTable", "ConjClass", "Irrep"),
-    "charring": ("VirtualCharacter", "fusion_matrix"),
+    "charring": (
+        "VirtualCharacter", "fusion_matrix", "is_rho_invertible", "min_rho_search",
+    ),
     "errors": ("CapExceededError", "TableError"),
     "knutsonlat": (
-        "generalized_lower_bound", "is_rho_invertible", "knutson_index_char",
-        "knutson_index_group", "min_multiplier", "min_rho_search",
-        "solve_integer", "zero_column_criterion",
+        "generalized_lower_bound", "knutson_index_char", "knutson_index_group",
+        "min_multiplier", "solve_integer", "zero_column_criterion",
     ),
     "numtheory": ("is_loeschian", "is_triangular", "quadform_xxyy", "sigma3"),
     "partitions": ("count_t_cores", "exists_t_core", "find_t_core", "is_t_core"),

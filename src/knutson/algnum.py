@@ -396,6 +396,13 @@ class CyclotomicTau:
         return out
 
     def __eq__(self, other):
+        # Another (m, tau^2) context or a MultiQuadratic (whose __eq__
+        # defers here) is compared, not coerced, so equality never raises.
+        if isinstance(other, CyclotomicTau):
+            if other.m != self.m or other.tau_sq != self.tau_sq:
+                return _equal_as_rationals(self, other)
+        elif isinstance(other, MultiQuadratic):
+            return _equal_as_rationals(self, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -421,6 +428,15 @@ class CyclotomicTau:
 
         parts = [s for s in (fmt(self.base), fmt(self.tau, "*tau")) if s]
         return " + ".join(parts) if parts else "0"
+
+
+def _equal_as_rationals(x, y) -> bool:
+    """Equality across value kinds or (m, tau^2) contexts: equal exactly
+    when both are rational with the same value.  This agrees with the
+    hashes, since a rational value hashes like its rational."""
+    if not (x.is_rational() and y.is_rational()):
+        return False
+    return x.rational_value() == y.rational_value()
 
 
 def rational_value(x) -> Fraction:

@@ -8,17 +8,26 @@ image under one ring homomorphism phi from the table's values into F_p
 (algnum.ResidueField), for a prime p above that bound and above |G|.
 Each table's values are mapped once; every fusion matrix is then plain
 integer dot products mod p, cached on the table.  They serve the rho
-machinery (is_rho_invertible, the printed rho-inverse rows and
-min_rho_search); Knutson indices are read from zero sets instead.
+machinery, here in the top layer: is_rho_invertible solves
+chi (x) lambda = rho against chi's fusion matrix, and min_rho_search
+and sl2tables call it.  Knutson indices are read from zero sets in
+knutsonlat, below, instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 from .algnum import ResidueField
 from .chartable import CharacterTable
+from .errors import CapExceededError
+from .knutsonlat import solve_integer
+
+# Largest group order min_rho_search accepts.  Every table of order <= 60
+# finishes in under 0.1 s; SL2(5), of order 120, ran past 18 s.
+RHO_SEARCH_MAX_ORDER = 60
 
 
 @dataclass(frozen=True)
@@ -115,3 +124,67 @@ def fusion_matrix(table: CharacterTable, a: int) -> list[list[int]]:
     table._fusion_cache[a] = matrix
     return matrix
 
+
+def is_rho_invertible(
+    table: CharacterTable, chi: int, rho: VirtualCharacter
+) -> VirtualCharacter | None:
+    """A virtual lambda with chi (x) lambda = rho, or None.
+
+    The witness is re-verified by evaluation on every class.
+    """
+    x = solve_integer(fusion_matrix(table, chi), list(rho.mults))
+    if x is None:
+        return None
+    lam = VirtualCharacter(table, tuple(x))
+    got = tuple(c * v for c, v in zip(table.irreps[chi].values, lam.values()))
+    if got != rho.values():
+        raise AssertionError("rho-inverse witness fails evaluation")
+    return lam
+
+
+def min_rho_search(table: CharacterTable) -> tuple[VirtualCharacter, Fraction] | None:
+    """Minimal-degree nonnegative rho making every irreducible invertible.
+
+    The degree runs over multiples of L(G) (each chi(1) must divide
+    deg rho) up to |G|; candidates are enumerated lexicographically
+    on multiplicities and pruned by the zero constraint: rho must vanish
+    on any class where some irreducible vanishes.  Feasible only for
+    very small groups: tables of order above RHO_SEARCH_MAX_ORDER raise
+    CapExceededError.
+    """
+    if table.order > RHO_SEARCH_MAX_ORDER:
+        raise CapExceededError(
+            f"min_rho_search({table.label}): order {table.order} exceeds "
+            f"cap {RHO_SEARCH_MAX_ORDER}"
+        )
+    step = table.degree_lcm()
+    degrees = table.degrees
+    nirr = len(degrees)
+    zero_classes = [
+        k
+        for k in range(len(table.classes))
+        if k != table.identity_index
+        and not all(ir.values[k] for ir in table.irreps)
+    ]
+
+    def candidates(i: int, remaining: int, acc: list[int]):
+        if i == nirr - 1:
+            q, r = divmod(remaining, degrees[i])
+            if r == 0:
+                yield tuple(acc + [q])
+            return
+        for c in range(remaining // degrees[i] + 1):
+            yield from candidates(i + 1, remaining - c * degrees[i], acc + [c])
+
+    for total in range(step, table.order + 1, step):
+        for mults in candidates(0, total, []):
+            rho = VirtualCharacter(table, mults)
+            values = rho.values()
+            if any(values[k] for k in zero_classes):
+                continue
+            if all(
+                is_rho_invertible(table, i, rho) is not None
+                for i in range(nirr)
+            ):
+                return rho, Fraction(total, table.order)
+    return None

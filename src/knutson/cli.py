@@ -9,8 +9,9 @@ of knutson.tablejson.  Tables are cached under KNUTSON_CACHE_DIR
 (default ~/.cache/knutson), one `{key}.v4.json` file per table (`.v1`,
 `.v2` and `.v3` files are ignored): the SHA-256 hex digest of the compact
 table JSON, a newline, then exactly those JSON bytes, written
-atomically via temp-file rename.  An entry that fails its digest or
-does not decode is a miss; a cache that cannot be written is a warning
+atomically via temp-file rename.  An entry that fails its digest, does
+not decode, or holds another group than its key names is a miss (and is
+rebuilt and overwritten); a cache that cannot be written is a warning
 on stderr, not a failure.
 
 Importing this module loads only the parser's needs.  Each command
@@ -49,6 +50,14 @@ def _cache_path(key: str) -> str:
     return os.path.join(cache_dir(), f"{key}.v{CACHE_VERSION}.json")
 
 
+def _key_label(key: str) -> str:
+    """The label of the table a key names: sn-5 is S5, psl2-9 is PSL2(9)."""
+    kind, _, param = key.partition("-")
+    if kind in ("sn", "an"):
+        return f"{kind[0].upper()}{param}"
+    return f"{kind.upper()}({param})"
+
+
 def cache_load(key: str):
     """The cached table of key, or None."""
     import hashlib
@@ -61,7 +70,10 @@ def cache_load(key: str):
             digest, body = fh.readline(), fh.read()
         if digest != hashlib.sha256(body).hexdigest().encode() + b"\n":
             return None
-        return table_from_json(json.loads(body))
+        table = table_from_json(json.loads(body))
+        # a valid entry of another group, e.g. a file copied under the
+        # wrong name, is a miss too
+        return table if table.label == _key_label(key) else None
     except (
         OSError, ValueError, LookupError, TypeError, AttributeError,
         ArithmeticError, TableError,
@@ -296,12 +308,13 @@ def cmd_cores(args) -> int:
     n, t = args.n, args.t
     if n > CORES_MAX_N:
         raise CapExceededError(f"cores --n {n} exceeds cap {CORES_MAX_N}")
+    core = find_t_core(n, t)
     result = {
         "n": n,
         "t": t,
         "exists": exists_t_core(n, t),
         "count": count_t_cores(n, t),
-        "first_core": list(find_t_core(n, t) or ()) or None,
+        "first_core": None if core is None else list(core),
     }
     if args.format == "json":
         import json
@@ -392,7 +405,8 @@ def _suite_sl2_rho(q: int) -> list[dict]:
 
 
 def _suite_knutson_small() -> list[dict]:
-    from .knutsonlat import knutson_index_group, min_rho_search
+    from .charring import min_rho_search
+    from .knutsonlat import knutson_index_group
     from .sl2tables import psl2_table, sl2_table
     from .symchar import sn_table
 

@@ -24,7 +24,7 @@ Algebraic Number Theory, 2.4), rarest in the zero sets first and the
 degrees last; each zero set's solve then runs on the trailing block
 from its first dropped row on, and its witness is mapped back through
 the transform and re-verified on the class rows (_zero_set_multiplier).
-Fusion matrices serve only rho-invertibility.
+No fusion matrix is built: rho-invertibility lives in charring, above.
 """
 
 from __future__ import annotations
@@ -35,14 +35,9 @@ from math import gcd, lcm
 
 from .algnum import integer_rows
 from .chartable import CharacterTable
-from .charring import VirtualCharacter, fusion_matrix
 from .errors import CapExceededError
 
 Matrix = list[list[int]]
-
-# Largest group order min_rho_search accepts.  Every table of order <= 60
-# finishes in under 0.1 s; SL2(5), of order 120, ran past 18 s.
-RHO_SEARCH_MAX_ORDER = 60
 
 # Most classes a table may have for knutson_index_char.  The cost grows
 # fast with the class count k, most of it the shared Hermite basis:
@@ -160,23 +155,6 @@ def min_multiplier(m: Matrix, v: list[int], *, check=None) -> int | None:
 
 # ---------------------------------------------------------------------------
 # Knutson indices
-
-def is_rho_invertible(
-    table: CharacterTable, chi: int, rho: VirtualCharacter
-) -> VirtualCharacter | None:
-    """A virtual lambda with chi (x) lambda = rho, or None.
-
-    The witness is re-verified by evaluation on every class.
-    """
-    x = solve_integer(fusion_matrix(table, chi), list(rho.mults))
-    if x is None:
-        return None
-    lam = VirtualCharacter(table, tuple(x))
-    got = tuple(c * v for c, v in zip(table.irreps[chi].values, lam.values()))
-    if got != rho.values():
-        raise AssertionError("rho-inverse witness fails evaluation")
-    return lam
-
 
 def check_index_cap(label: str, classes: int) -> None:
     """CapExceededError for a table of more than INDEX_MAX_CLASSES classes.
@@ -337,51 +315,3 @@ def zero_column_criterion(table: CharacterTable) -> int | None:
     if len(zeros | {table.identity_index}) < len(rows):
         return None
     return knutson_index_group(table)
-
-
-def min_rho_search(table: CharacterTable) -> tuple[VirtualCharacter, Fraction] | None:
-    """Minimal-degree nonnegative rho making every irreducible invertible.
-
-    The degree runs over multiples of L(G) (each chi(1) must divide
-    deg rho) up to |G|; candidates are enumerated lexicographically
-    on multiplicities and pruned by the zero constraint: rho must vanish
-    on any class where some irreducible vanishes.  Feasible only for
-    very small groups: tables of order above RHO_SEARCH_MAX_ORDER raise
-    CapExceededError.
-    """
-    if table.order > RHO_SEARCH_MAX_ORDER:
-        raise CapExceededError(
-            f"min_rho_search({table.label}): order {table.order} exceeds "
-            f"cap {RHO_SEARCH_MAX_ORDER}"
-        )
-    step = table.degree_lcm()
-    degrees = table.degrees
-    nirr = len(degrees)
-    zero_classes = [
-        k
-        for k in range(len(table.classes))
-        if k != table.identity_index
-        and not all(ir.values[k] for ir in table.irreps)
-    ]
-
-    def candidates(i: int, remaining: int, acc: list[int]):
-        if i == nirr - 1:
-            q, r = divmod(remaining, degrees[i])
-            if r == 0:
-                yield tuple(acc + [q])
-            return
-        for c in range(remaining // degrees[i] + 1):
-            yield from candidates(i + 1, remaining - c * degrees[i], acc + [c])
-
-    for total in range(step, table.order + 1, step):
-        for mults in candidates(0, total, []):
-            rho = VirtualCharacter(table, mults)
-            values = rho.values()
-            if any(values[k] for k in zero_classes):
-                continue
-            if all(
-                is_rho_invertible(table, i, rho) is not None
-                for i in range(nirr)
-            ):
-                return rho, Fraction(total, table.order)
-    return None

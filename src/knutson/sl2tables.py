@@ -28,7 +28,8 @@ is written out twice.  The same specs serve even q, which has one
 unipotent class and no z.  Sl2Param.from_q is the one check of the
 caps: q <= ODD_CAP for odd q and q <= EVEN_CAP for even q.
 
-The rho machinery lives here too.  It takes the SL2(q) table its
+The rho machinery lives here too, the one import of higher layers
+(charring, knutsonlat) by a table module.  It takes the SL2(q) table its
 caller holds, for odd q >= 5, and reads q off it as psi's degree.
 rho+ and rho-, the sums of chi(1)*chi over the irreducibles fixing and
 negating -id, are built once: rho = 2*rho+ is the theorem's character,
@@ -61,9 +62,9 @@ from math import lcm
 
 from .algnum import CyclotomicTau
 from .chartable import CharacterTable, ConjClass, Irrep
-from .charring import VirtualCharacter, fusion_matrix
+from .charring import VirtualCharacter, fusion_matrix, is_rho_invertible
 from .errors import CapExceededError
-from .knutsonlat import is_rho_invertible, mat_vec
+from .knutsonlat import mat_vec
 from .numtheory import factorize
 
 EVEN_CAP = 32

@@ -1,25 +1,13 @@
 """Character tables of S_n and A_n.
 
-Whole tables come from a forward Murnaghan-Nakayama sweep on the
-1-runner abacus (James & Kerber 1981).  A shape lam of n is an n-bead
-bitmask with bead i at position lam_i + n - 1 - i, so the empty shape
-is (1 << n) - 1.  Adding a rim t-hook moves one bead from b to an empty
-position b + t, with sign (-1)^(number of beads strictly between b and
-b + t).  The rule holds for the cycle lengths taken in any order, so
-each cycle type mu is swept from the empty shape adding hooks of its
-parts smallest first, keeping a dict from mask to nonzero value; after
-the last part the dict is the whole column of mu.  The cycle types are
-walked as a trie, depth first, so those that share their small parts
-share the dicts of that prefix, and one sweep per table build fills
-every column.
-
-zero_in_small_part_columns decides many classes with parts at most 3,
-of every n at once, on one bead count, sharing the columns of their 1s
-and 2s; a class has a zero when its column holds fewer than p(n)
-shapes.  It decides the a363701 classes that have no vanishing
-certificate.  An odd class (an odd number of even parts) of n != 2 is
-not swept: chi_lam' = sgn * chi_lam, so the character of a
-self-conjugate lam vanishes on it, and one such lam is checked per n.
+Whole tables come from a forward Murnaghan-Nakayama sweep on the bead
+masks of partitions (_add_hooks adds a signed rim hook to n-bead masks).
+The rule holds for the cycle lengths taken in any order, so each cycle
+type mu is swept from the empty shape adding hooks of its parts smallest
+first, keeping a dict from mask to nonzero value; after the last part
+the dict is the whole column of mu.  The cycle types are walked as a
+trie, depth first, so those that share their small parts share the
+dicts of that prefix, and one sweep per table build fills every column.
 
 mn_value evaluates a single chi_lam(mu) by the backward recursion over
 beta-sets, memoized globally on (remaining shape, remaining cycles)
@@ -41,23 +29,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
-from typing import TypeVar
 
 from .algnum import MultiQuadratic
 from .chartable import CharacterTable, ConjClass, Irrep
 from .errors import CapExceededError
 from .partitions import (
     Partition,
+    _add_hooks,
+    _shape_mask,
     conjugate,
     degree_hook,
-    partition_counts,
     partitions,
     principal_hooks,
 )
 
 DEFAULT_CAP = 22
-
-K = TypeVar("K")
 
 
 def check_cap(kind: str, n: int) -> None:
@@ -150,33 +136,6 @@ def mn_value(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def _shape_mask(lam: Partition, n: int) -> int:
-    """lam as n beads on one runner: bead i at lam_i + n - 1 - i."""
-    mask = (1 << (n - len(lam))) - 1
-    for i, part in enumerate(lam):
-        mask |= 1 << (part + n - 1 - i)
-    return mask
-
-
-def _add_hooks(column: dict[int, int], t: int) -> dict[int, int]:
-    """Every shape of column with one rim t-hook added, in every way,
-    each weighted by its hook's sign; zero sums are dropped."""
-    out: dict[int, int] = {}
-    between = (1 << (t - 1)) - 1
-    for mask, value in column.items():
-        movable = mask & ~(mask >> t)  # beads b with b + t empty
-        while movable:
-            low = movable & -movable
-            movable ^= low
-            grown = mask ^ low ^ (low << t)
-            # the beads on the t - 1 positions strictly above b
-            if (mask & (between * (low << 1))).bit_count() & 1:
-                out[grown] = out.get(grown, 0) - value
-            else:
-                out[grown] = out.get(grown, 0) + value
-    return {mask: value for mask, value in out.items() if value}
-
-
 def _sweep(n: int, shapes: list[Partition], mus: list[Partition]) -> list[list[int]]:
     """rows[i][j] = chi_shapes[i](mus[j]), from one depth-first walk of
     the trie of cycle types of n, smallest part first.  A cycle type
@@ -199,7 +158,7 @@ def _sweep(n: int, shapes: list[Partition], mus: list[Partition]) -> list[list[i
                 for j in js:
                     row[j] = leaf.get(mask, 0)
 
-    walk({(1 << n) - 1: 1}, n, 1, ())
+    walk({_shape_mask((), n): 1}, n, 1, ())
     return rows
 
 
@@ -311,74 +270,3 @@ def an_table(n: int) -> CharacterTable:
     return CharacterTable(
         f"A{n}", factorial(n) // 2, classes, tuple(irreps), identity_index
     )
-
-
-def _self_conjugate_shape(n: int) -> Partition:
-    """A shape of n equal to its conjugate, for n != 2: the one with
-    principal hooks (n) for odd n, (n - 1, 1) for even n."""
-    k = n // 2
-    if n % 2:
-        return (k + 1,) + (1,) * k
-    return (k, 2) + (1,) * (k - 2)
-
-
-@cache
-def self_conjugate_certificate(n: int) -> Partition:
-    """_self_conjugate_shape(n), checked to be a partition of n equal to
-    its conjugate.  chi_lam' = sgn * chi_lam, so its character vanishes
-    on every odd class of S_n."""
-    lam = _self_conjugate_shape(n)
-    if sum(lam) != n or conjugate(lam) != lam:
-        raise AssertionError(f"self-conjugate certificate {lam} fails for n = {n}")
-    return lam
-
-
-def zero_in_small_part_columns(groups: dict[K, list[Partition]]) -> set[K]:
-    """The keys of groups whose classes all have a zero in their column.
-
-    Every class is (3^a 2^b 1^c), a class of S_n for n = 3a + 2b + c.
-    An odd class (b odd) of n != 2 has a zero, on the character of
-    self_conjugate_certificate(n).  The others are swept from the empty
-    shape, parts smallest first, as in _sweep: _add_hooks drops zero
-    sums, so a class has a zero exactly when its column holds fewer than
-    p(n) shapes.  They are swept on one bead count, the largest n, in
-    the order of (c, b, a): the column of 1^c grows by one 1-hook at a
-    time, the column of 1^c 2^b grows from it by one 2-hook at a time,
-    and a class adds its a 3-hooks to the latter.  So classes of every n
-    share the sweep of their 1s and 2s, and at most three columns are
-    held.  A key is dropped at its first class without a zero; its other
-    classes are not swept.
-    """
-    todo = []
-    for key, mus in groups.items():
-        for mu in mus:
-            n = sum(mu)
-            c, b, a = mu.count(1), mu.count(2), mu.count(3)
-            if c + 2 * b + 3 * a != n:
-                raise ValueError(f"class {mu} has a part above 3")
-            if b % 2 and n != 2:
-                self_conjugate_certificate(n)  # vanishes on this class
-                continue
-            todo.append(((c, b, a), key))
-    todo.sort(key=lambda item: item[0])
-    beads = max((c + 2 * b + 3 * a for (c, b, a), _key in todo), default=0)
-    counts = partition_counts(beads)
-    ones = twos = {(1 << beads) - 1: 1}  # the columns of 1^c0 and 1^c0 2^b0
-    c0 = b0 = 0
-    failed = set()
-    for (c, b, a), key in todo:
-        if key in failed:
-            continue
-        if c > c0:
-            for _ in range(c - c0):
-                ones = _add_hooks(ones, 1)
-            twos, c0, b0 = ones, c, 0
-        for _ in range(b - b0):
-            twos = _add_hooks(twos, 2)
-        b0 = b
-        column = twos
-        for _ in range(a):
-            column = _add_hooks(column, 3)
-        if len(column) == counts[c + 2 * b + 3 * a]:
-            failed.add(key)
-    return set(groups) - failed

@@ -14,9 +14,9 @@ from knutson.algnum import CyclotomicTau, MultiQuadratic, rational_value
 from knutson.chartable import CharacterTable, Irrep
 from knutson.charring import VirtualCharacter
 from knutson.errors import TableError
-from knutson.partitions import degree_hook, partition_counts, partitions
+from knutson.partitions import _add_hooks, degree_hook, partition_counts, partitions
 from knutson.sequences import vanishing_certificate
-from knutson.symchar import CycleType, _add_hooks, cycle_types, mn_value
+from knutson.symchar import CycleType, cycle_types, mn_value
 
 Matrix = list[list[int]]
 
@@ -150,7 +150,7 @@ def class_zero_certified(n: int, ct: CycleType) -> bool:
     """Whether some character vanishes on the class, decided one class at
     a time: a vanishing certificate re-checked by evaluating it with
     mn_value, else the class's one-column sweep."""
-    cert = vanishing_certificate(n, ct)
+    cert = vanishing_certificate(ct.parts)
     if cert is not None:
         if mn_value(cert[0], ct.parts) != 0:
             raise AssertionError(f"vanishing certificate {cert} fails on {ct.parts}")

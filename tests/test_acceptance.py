@@ -15,11 +15,8 @@ from oracles import (
     zero_in_every_nontrivial_column,
 )
 
-from knutson.knutsonlat import (
-    knutson_index_char,
-    knutson_index_group,
-    min_rho_search,
-)
+from knutson.charring import min_rho_search
+from knutson.knutsonlat import knutson_index_char, knutson_index_group
 from knutson.numtheory import is_loeschian, quadform_xxyy, sigma3
 from knutson.partitions import count_t_cores, exists_t_core
 from knutson.sequences import seq_L_An, seq_L_Sn, seq_zero_columns_sn

@@ -240,6 +240,34 @@ def test_rational_values_hash_like_rationals():
     assert hash(tau * tau) == hash(-3)
 
 
+def test_equality_across_contexts_and_kinds_never_raises():
+    # values of other (m, tau^2) contexts, or of the other kind, are equal
+    # exactly when both are rational with the same value; arithmetic
+    # across contexts still raises (test_mixed_context_rejected)
+    one12, one24 = CyclotomicTau(12, 0, {0: 1}), CyclotomicTau(24, 0, {0: 1})
+    four_mq, four_cyc = MultiQuadratic({1: 4}), CyclotomicTau(8, 0, {0: 4})
+    assert one12 == one24 and not one12 != one24
+    assert four_mq == four_cyc and four_cyc == four_mq
+    assert len({one12, one24, 1, Fraction(1), MultiQuadratic({1: 1})}) == 1
+    assert len({four_mq, four_cyc, 4}) == 1
+    assert {one12: "a", one24: "b"} == {1: "b"}
+    zeta = CyclotomicTau.root_of_unity(12, 1)
+    tau = CyclotomicTau(12, -3, None, {0: 1})
+    root = MultiQuadratic.sqrt(-3)
+    irrational = [zeta, CyclotomicTau.root_of_unity(24, 2), tau, root]
+    # zeta_12 and zeta_24^2 are one complex number, held in two contexts
+    assert len(set(irrational)) == 4
+    for i, x in enumerate(irrational):
+        for j, y in enumerate(irrational):
+            assert (x == y) == (i == j) and (x != y) == (i != j), (x, y)
+    mixed = {zeta: 0, tau: 1, root: 2, one24: 3, four_mq: 4}
+    assert mixed[CyclotomicTau.root_of_unity(12, 13)] == 0
+    assert mixed[1] == 3 and mixed[four_cyc] == 4 and mixed[Fraction(4)] == 4
+    assert CyclotomicTau(5, 0, {0: Fraction(1, 2)}) != CyclotomicTau(7, 0, {0: 1})
+    with pytest.raises(ValueError):
+        one12 + one24
+
+
 def test_equal_cyclotomic_values_hash_equal():
     # equal values held in different forms: zeta_5/2 + zeta_5^2/3 against
     # the same with zeta_5 = -(1 + zeta_5^2 + zeta_5^3 + zeta_5^4), and a

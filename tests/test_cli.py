@@ -364,6 +364,32 @@ def test_cache_entry_that_is_not_an_object_is_a_miss():
     assert cache_load("sn-4") is None
 
 
+@pytest.mark.parametrize(
+    "key, label, source, build, param",
+    [
+        ("sn-4", "S4", "sn-5", sn_table, 5),
+        ("an-5", "A5", "an-6", an_table, 6),
+        ("sl2-5", "SL2(5)", "sl2-7", sl2_table, 7),
+        ("psl2-7", "PSL2(7)", "sl2-7", sl2_table, 7),
+        # PSL2(8) and SL2(8) have one table, under two labels
+        ("psl2-8", "PSL2(8)", "sl2-8", sl2_table, 8),
+    ],
+)
+def test_cache_entry_under_the_wrong_key_is_a_miss(
+    capsys, key, label, source, build, param
+):
+    # a valid entry of another group, copied under key: a miss, rebuilt
+    # and overwritten by the command
+    cache_store(source, build(param))
+    Path(cli._cache_path(key)).write_bytes(Path(cli._cache_path(source)).read_bytes())
+    assert cache_load(source).label != label
+    assert cache_load(key) is None
+    kind, _, n = key.partition("-")
+    assert main(["knutson", kind, n]) == 0
+    assert capsys.readouterr().out.startswith(f"group: {label}\n")
+    assert cache_load(key).label == label
+
+
 def test_unusable_cache_dir_is_a_warning(tmp_path):
     # a regular file where the cache directory should be: the table is
     # still printed and the command exits 0, with one warning line
@@ -430,6 +456,23 @@ def test_main_cores_json(capsys):
     assert main(["cores", "--n", "6", "--t", "3", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["exists"] == (obj["first_core"] is not None)
+
+
+def test_cores_first_core_is_null_exactly_when_none_exists(capsys):
+    # n = 0 has one t-core, the empty partition, printed as []
+    for n in range(11):
+        for t in (2, 3, 4, 5, 7, 11):
+            argv = ["cores", "--n", str(n), "--t", str(t), "--format", "json"]
+            assert main(argv) == 0
+            obj = json.loads(capsys.readouterr().out)
+            assert obj["exists"] == (obj["first_core"] is not None), (n, t)
+            assert obj["exists"] == (obj["count"] > 0), (n, t)
+            if obj["exists"]:
+                assert sum(obj["first_core"]) == n, (n, t)
+    assert main(["cores", "--n", "0", "--t", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 0, "t": 2, "exists": True, "count": 1, "first_core": [],
+    }
 
 
 @pytest.mark.parametrize("n, t", [(200, 2), (80, 4), (120, 13)])
@@ -855,7 +898,11 @@ def test_knutson_single_char_at_the_index_cap(capsys):
 
 
 def test_cap_checked_before_cache(capsys):
-    cache_store("sn-23", sn_table(4))  # a validly checksummed entry
+    # a validly checksummed entry under its key's label: S4's values,
+    # labelled S23, for the table that is past the cap
+    fake = sn_table(4)
+    fake.label = "S23"
+    cache_store("sn-23", fake)
     assert cache_load("sn-23") is not None
     assert main(["table", "sn", "23"]) == 3
     assert "exceeds cap" in capsys.readouterr().err

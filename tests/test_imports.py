@@ -1,8 +1,9 @@
 """What each entry point loads, in a fresh interpreter.
 
-`import knutson` loads no submodule, and each CLI command imports only
-the layers it runs.  The interpreter runs with -S, so that modules a
-site hook preloads cannot hide an import, and reports the modules that
+`import knutson` loads no submodule, each module imports only its own
+layer and the layers below it, and each CLI command imports only the
+layers it runs.  The interpreter runs with -S, so that modules a site
+hook preloads cannot hide an import, and reports the modules that
 appeared while it ran.
 """
 
@@ -44,8 +45,37 @@ def test_import_knutson_loads_no_submodule():
     assert got["stdlib"] == []
 
 
+# The package's layers, bottom first: errors; the combinatorics; exact
+# values and tables; the lattice and the index; the representation ring;
+# the CLI.  A module may import its own layer and those below it.
+LAYERS = [
+    ["errors"],
+    ["numtheory", "partitions", "sequences"],
+    ["algnum", "chartable", "symchar", "sl2tables", "tablejson"],
+    ["knutsonlat"],
+    ["charring"],
+    ["cli"],
+]
+# The one exception: the rho section of sl2tables checks the printed
+# rho-inverse rows with charring's fusion matrices and knutsonlat's mat_vec.
+UPWARD = {"sl2tables": ["charring", "knutsonlat"]}
+
+
+@pytest.mark.parametrize(
+    "level, module", [(i, m) for i, layer in enumerate(LAYERS) for m in layer]
+)
+def test_each_module_loads_only_its_layer_and_those_below(level, module):
+    got = _fresh(f"import knutson.{module}")
+    below = {m for layer in LAYERS[: level + 1] for m in layer}
+    loaded = {m.removeprefix("knutson.") for m in got["knutson"]} - {"knutson"}
+    assert module in loaded
+    assert sorted(loaded - below) == UPWARD.get(module, [])
+    if level <= 1:
+        assert got["stdlib"] == []  # not even dataclasses
+
+
 COMBINATORICS = ["cli", "errors", "numtheory", "partitions"]
-INDEX = COMBINATORICS + ["algnum", "charring", "chartable", "knutsonlat", "symchar"]
+INDEX = COMBINATORICS + ["algnum", "chartable", "knutsonlat", "symchar"]
 
 
 @pytest.mark.parametrize(
@@ -53,10 +83,11 @@ INDEX = COMBINATORICS + ["algnum", "charring", "chartable", "knutsonlat", "symch
     [
         ("seq a363675 --limit 10", COMBINATORICS + ["sequences"], []),
         ("seq a363676 --limit 10", COMBINATORICS + ["sequences"], []),
+        ("seq a363701 --limit 30", COMBINATORICS + ["sequences"], []),
         ("cores --n 10 --t 3 --format json", COMBINATORICS, []),
         ("knutson sn 4 --no-cache", INDEX, ["dataclasses"]),
     ],
-    ids=["seq-a363675", "seq-a363676", "cores", "knutson-sn-4"],
+    ids=["seq-a363675", "seq-a363676", "seq-a363701", "cores", "knutson-sn-4"],
 )
 def test_command_loads_only_its_layers(argv, layers, stdlib):
     got = _fresh(

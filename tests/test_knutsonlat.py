@@ -15,20 +15,23 @@ from oracles import (
 
 from knutson import charring, knutsonlat
 from knutson.chartable import CharacterTable
-from knutson.charring import VirtualCharacter, fusion_matrix
+from knutson.charring import (
+    RHO_SEARCH_MAX_ORDER,
+    VirtualCharacter,
+    fusion_matrix,
+    is_rho_invertible,
+    min_rho_search,
+)
 from knutson.errors import CapExceededError, TableError
 from knutson.knutsonlat import (
     INDEX_MAX_CLASSES,
-    RHO_SEARCH_MAX_ORDER,
     check_index_cap,
     generalized_lower_bound,
     hermite_basis,
-    is_rho_invertible,
     knutson_index_char,
     knutson_index_group,
     mat_vec,
     min_multiplier,
-    min_rho_search,
     solve_integer,
     zero_column_criterion,
 )
@@ -219,7 +222,7 @@ def test_min_rho_search_cap(monkeypatch):
     def no_candidates(*args):
         raise AssertionError("enumeration started past the cap")
 
-    monkeypatch.setattr(knutsonlat, "VirtualCharacter", no_candidates)
+    monkeypatch.setattr(charring, "VirtualCharacter", no_candidates)
     for table in (sn_table(5), sl2_table(5), psl2_table(7)):
         assert table.order > RHO_SEARCH_MAX_ORDER
         with pytest.raises(CapExceededError, match="exceeds cap"):
@@ -234,7 +237,7 @@ def test_knutson_index_cap(monkeypatch):
     def no_lattice(*args):
         raise AssertionError("lattice solved past the cap")
 
-    monkeypatch.setattr(knutsonlat, "fusion_matrix", no_fusion)
+    monkeypatch.setattr(charring, "fusion_matrix", no_fusion)
     monkeypatch.setattr(knutsonlat, "min_multiplier", no_lattice)
     monkeypatch.setattr(knutsonlat, "hermite_basis", no_lattice)
     table = sn_table(15)
@@ -316,7 +319,6 @@ def test_no_index_builds_a_fusion_matrix(monkeypatch):
     def no_fusion(table, a):
         raise AssertionError(f"fusion matrix built for {table.label}")
 
-    monkeypatch.setattr(knutsonlat, "fusion_matrix", no_fusion)
     monkeypatch.setattr(charring, "fusion_matrix", no_fusion)
     for built in (
         sn_table(7), an_table(12), sl2_table(5), sl2_table(8), sl2_table(9),

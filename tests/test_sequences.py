@@ -22,7 +22,7 @@ from knutson.sequences import (
     seq_zero_columns_sn,
     vanishing_certificate,
 )
-from knutson.symchar import CycleType, cycle_types, mn_value, sn_table
+from knutson.symchar import cycle_types, mn_value, sn_table
 
 from oracles import (
     class_zero_certified,
@@ -78,7 +78,7 @@ def test_L_sequences_from_the_degrees():
 def test_vanishing_certificate_is_reverified():
     for n in range(3, 12):
         for ct in cycle_types(n):
-            cert = vanishing_certificate(n, ct)
+            cert = vanishing_certificate(ct.parts)
             if cert is None:
                 continue
             shape, t, s = cert
@@ -140,7 +140,7 @@ def test_corrupted_certificate_raises(monkeypatch, corrupt):
     with pytest.raises(AssertionError):
         seq_zero_columns_sn(12)
     with pytest.raises(AssertionError):
-        vanishing_certificate(9, CycleType(parts))
+        vanishing_certificate(parts)
 
 
 def test_find_t_core_after_a_run_equals_a_fresh_search():

@@ -8,19 +8,23 @@ from oracles import class_has_zero, class_has_zero_scan, fraction_entries, with_
 
 from knutson.algnum import MultiQuadratic, rational_value
 from knutson.errors import CapExceededError, TableError
-from knutson.partitions import conjugate, degree_hook, partitions, principal_hooks
-from knutson import symchar
-from knutson.symchar import (
-    CycleType,
+from knutson.partitions import (
     _add_hooks,
     _shape_mask,
+    conjugate,
+    degree_hook,
+    partitions,
+    principal_hooks,
+)
+from knutson import sequences
+from knutson.sequences import self_conjugate_certificate, zero_in_small_part_columns
+from knutson.symchar import (
+    CycleType,
     an_table,
     cycle_types,
     mn_value,
     rim_hook_removals,
-    self_conjugate_certificate,
     sn_table,
-    zero_in_small_part_columns,
 )
 
 
@@ -248,13 +252,13 @@ def test_odd_small_part_classes_vanish_on_a_self_conjugate_shape():
 
 @pytest.mark.parametrize("corrupt", ["not_self_conjugate", "wrong_size"])
 def test_corrupted_self_conjugate_shape_raises(monkeypatch, corrupt):
-    real = symchar._self_conjugate_shape
+    real = sequences._self_conjugate_shape
     if corrupt == "not_self_conjugate":
         fake = lambda n: (n - 1, 1)
     else:
         # self-conjugate, but a shape of n - 2
         fake = lambda n: real(n - 2)
-    monkeypatch.setattr(symchar, "_self_conjugate_shape", fake)
+    monkeypatch.setattr(sequences, "_self_conjugate_shape", fake)
     # the certificate is memoized for the process; a failed check caches
     # nothing, so only sound certificates outlive the patch
     self_conjugate_certificate.cache_clear()
