@@ -16,7 +16,7 @@ knutsonlat, below, instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -32,9 +32,13 @@ RHO_SEARCH_MAX_ORDER = 60
 
 @dataclass(frozen=True)
 class VirtualCharacter:
-    """Integer multiplicity vector over a table's irreducibles."""
+    """Integer multiplicity vector over a table's irreducibles.
 
-    table: CharacterTable
+    Hashed by its multiplicities alone (a table is mutable, so
+    unhashable); equality still compares the tables too.
+    """
+
+    table: CharacterTable = field(hash=False)
     mults: tuple[int, ...]
 
     def __post_init__(self):

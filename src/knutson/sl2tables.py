@@ -9,8 +9,11 @@ kept formal.  No matrix realizations are needed; the classes
 are index-parametrized.  Exact row orthogonality is checked on
 construction (the column relations follow from it) -- a transcription
 error in any single entry breaks it.  For odd q the PSL2(q) table is
-read off the SL2(q) table: its rows are the ones fixing -id, and its
-classes are the SL2 columns those rows do not tell apart.
+read off unchecked SL2(q) rows: its rows are the ones fixing -id, and
+its classes are the SL2 columns those rows do not tell apart.  It is
+checked as itself, which checks the kept rows as SL2 rows: each PSL2
+class is the image of SL2 classes of twice its size, on which they are
+constant.  The rows it drops are checked only by sl2_table.
 
 For odd q the classes come in the order
     1, z, c, d, zc, zd, a^1 .. a^((q-3)/2), b^1 .. b^((q-1)/2)
@@ -84,12 +87,13 @@ class Sl2Param:
         """The parameters of q, and the one check of the SL2 caps.
 
         q above both caps raises CapExceededError before it is
-        factorised, a prime power above the cap of its parity after.
+        factorised, a prime power above the cap of its parity after;
+        q < 2 is not a prime power and is not factorised.
         """
         top = max(EVEN_CAP, ODD_CAP)
         if q > top:
             raise CapExceededError(f"q = {q} exceeds the largest supported q, {top}")
-        fac = factorize(q)
+        fac = factorize(q) if q > 1 else []
         if len(fac) != 1:
             raise ValueError(f"q = {q} is not a prime power")
         p, f = fac[0]
@@ -246,16 +250,16 @@ def _psl2_odd(sl2: CharacterTable) -> CharacterTable:
 
 
 def psl2_table(q: int) -> CharacterTable:
-    """Exact character table of PSL2(q); equals SL2(q) for even q."""
-    sl2 = sl2_table(q)
+    """Exact character table of PSL2(q); equals SL2(q) for even q.  It
+    is read off unchecked SL2(q) rows and checked as itself."""
+    sl2 = _sl2(Sl2Param.from_q(q))
     if q % 2 == 0:
         table = CharacterTable(
             f"PSL2({q})", sl2.order, sl2.classes, sl2.irreps,
             sl2.identity_index,
         )
-        table._orthogonal = sl2._orthogonal  # the same rows, checked
-        return table
-    table = _psl2_odd(sl2)
+    else:
+        table = _psl2_odd(sl2)
     table.check_orthogonality()
     return table
 

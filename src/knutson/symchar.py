@@ -235,19 +235,14 @@ def an_table(n: int) -> CharacterTable:
         i for i, c in enumerate(classes) if c.data[0].parts == (1,) * n
     )
 
-    shapes = list(partitions(n))
+    # chi_lam and chi_lam' agree on A_n: sweep the first shape of each
+    # conjugate pair in enumeration order
+    shapes = [lam for lam in partitions(n) if lam >= conjugate(lam)]
     rows = _sweep(n, shapes, [ct.parts for ct, _half in cls_list])
     irreps = []
-    seen: set[Partition] = set()
     for lam, row in zip(shapes, rows):
-        if lam in seen:
-            continue
-        conj_lam = conjugate(lam)
-        seen.add(lam)
-        seen.add(conj_lam)
-        if lam != conj_lam:
-            values = tuple(row)
-            irreps.append(Irrep(str(lam), degree_hook(lam), values))
+        if lam != conjugate(lam):
+            irreps.append(Irrep(str(lam), degree_hook(lam), tuple(row)))
             continue
         hooks = principal_hooks(lam)
         _eps, v_plus, v_minus = _split_value(lam)

@@ -1,5 +1,7 @@
 """The representation ring: tensor decomposition, fusion, regular character."""
 
+from fractions import Fraction
+
 import pytest
 from oracles import (
     fusion_matrix_exact,
@@ -8,8 +10,16 @@ from oracles import (
     trivial_index,
 )
 
+from knutson import charring
 from knutson.chartable import CharacterTable, Irrep
-from knutson.charring import VirtualCharacter, fusion_matrix
+from knutson.charring import (
+    RHO_SEARCH_MAX_ORDER,
+    VirtualCharacter,
+    fusion_matrix,
+    is_rho_invertible,
+    min_rho_search,
+)
+from knutson.errors import CapExceededError
 from knutson.partitions import conjugate
 from knutson.sl2tables import psl2_table, sl2_table
 from knutson.symchar import an_table, sn_table
@@ -125,6 +135,18 @@ def test_virtual_character_arithmetic():
         x + VirtualCharacter(sn_table(4), (0,) * 5)  # distinct table objects
 
 
+def test_virtual_character_hash_eq_contract():
+    # equal characters over two builds of one table hash equal; the hash
+    # reads the multiplicities only, and equality still compares tables
+    x = VirtualCharacter(sn_table(3), (1, 0, 0))
+    y = VirtualCharacter(sn_table(3), (1, 0, 0))
+    assert x.table is not y.table
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+    z = VirtualCharacter(an_table(3), (1, 0, 0))
+    assert z != x and len({x, z}) == 2
+
+
 ORACLE_TABLES = (
     [(sn_table, n) for n in range(1, 9)]
     + [(an_table, n) for n in range(3, 10)]
@@ -166,3 +188,36 @@ def test_perturbed_table_fails_fusion_checks(table, irrep, cls):
     with pytest.raises(AssertionError, match="out of range"):
         for a in range(len(bad.irreps)):
             fusion_matrix(bad, a)
+
+
+def test_min_rho_search_sl2_2():
+    table = sl2_table(2)
+    result = min_rho_search(table)
+    assert result is not None
+    rho, kprime = result
+    assert kprime == Fraction(1, 3)
+    assert rho.degree == 2
+    for i in range(len(table.irreps)):
+        assert is_rho_invertible(table, i, rho) is not None
+
+
+def test_min_rho_search_sl2_3():
+    # every irreducible of SL2(3) is invertible against a rho of degree
+    # L(SL2(3)) = 6 already, so the minimum is 6/24
+    result = min_rho_search(sl2_table(3))
+    assert result is not None
+    rho, kprime = result
+    assert kprime == Fraction(1, 4)
+    assert rho.degree == 6
+
+
+def test_min_rho_search_cap(monkeypatch):
+    # the cap is checked before any candidate is built
+    def no_candidates(*args):
+        raise AssertionError("enumeration started past the cap")
+
+    monkeypatch.setattr(charring, "VirtualCharacter", no_candidates)
+    for table in (sn_table(5), sl2_table(5), psl2_table(7)):
+        assert table.order > RHO_SEARCH_MAX_ORDER
+        with pytest.raises(CapExceededError, match="exceeds cap"):
+            min_rho_search(table)

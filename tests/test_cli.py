@@ -852,6 +852,21 @@ def test_zero_limit_and_q_exit_2(capsys, argv):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("q", (0, -1, -4))
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "sl2"], ["table", "psl2"], ["knutson", "sl2"],
+     ["knutson", "psl2"], ["verify", "sl2-rho", "--q"]],
+    ids=" ".join,
+)
+def test_q_below_2_exits_2_naming_q(capsys, argv, q):
+    # the message of every other non-prime-power q, not factorize's own
+    assert main(argv + [str(q)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q = {q} is not a prime power\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -15,13 +15,7 @@ from oracles import (
 
 from knutson import charring, knutsonlat
 from knutson.chartable import CharacterTable
-from knutson.charring import (
-    RHO_SEARCH_MAX_ORDER,
-    VirtualCharacter,
-    fusion_matrix,
-    is_rho_invertible,
-    min_rho_search,
-)
+from knutson.charring import VirtualCharacter, fusion_matrix, is_rho_invertible
 from knutson.errors import CapExceededError, TableError
 from knutson.knutsonlat import (
     INDEX_MAX_CLASSES,
@@ -35,7 +29,7 @@ from knutson.knutsonlat import (
     solve_integer,
     zero_column_criterion,
 )
-from knutson.sl2tables import psl2_table, sl2_table, verify_rho_pm_obstruction
+from knutson.sl2tables import psl2_table, sl2_table
 from knutson.symchar import an_table, cycle_types, sn_table
 
 
@@ -196,39 +190,6 @@ def test_zero_column_criterion():
     assert zero_column_criterion(sn_table(4)) is None
 
 
-def test_min_rho_search_sl2_2():
-    table = sl2_table(2)
-    result = min_rho_search(table)
-    assert result is not None
-    rho, kprime = result
-    assert kprime == Fraction(1, 3)
-    assert rho.degree == 2
-    for i in range(len(table.irreps)):
-        assert is_rho_invertible(table, i, rho) is not None
-
-
-def test_min_rho_search_sl2_3():
-    # every irreducible of SL2(3) is invertible against a rho of degree
-    # L(SL2(3)) = 6 already, so the minimum is 6/24
-    result = min_rho_search(sl2_table(3))
-    assert result is not None
-    rho, kprime = result
-    assert kprime == Fraction(1, 4)
-    assert rho.degree == 6
-
-
-def test_min_rho_search_cap(monkeypatch):
-    # the cap is checked before any candidate is built
-    def no_candidates(*args):
-        raise AssertionError("enumeration started past the cap")
-
-    monkeypatch.setattr(charring, "VirtualCharacter", no_candidates)
-    for table in (sn_table(5), sl2_table(5), psl2_table(7)):
-        assert table.order > RHO_SEARCH_MAX_ORDER
-        with pytest.raises(CapExceededError, match="exceeds cap"):
-            min_rho_search(table)
-
-
 def test_knutson_index_cap(monkeypatch):
     # the cap is checked before any fusion matrix or lattice is built
     def no_fusion(*args):
@@ -253,11 +214,6 @@ def test_knutson_index_cap_boundary():
     check_index_cap("S14", INDEX_MAX_CLASSES)
     with pytest.raises(CapExceededError, match="136 exceeds cap 135"):
         check_index_cap("X", INDEX_MAX_CLASSES + 1)
-
-
-@pytest.mark.parametrize("q", (5, 9))
-def test_rho_pm_obstruction(q):
-    assert verify_rho_pm_obstruction(sl2_table(q))
 
 
 def test_fusion_matrix_determinant_structure():

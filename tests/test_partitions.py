@@ -9,6 +9,8 @@ from knutson.errors import CapExceededError
 from knutson.numtheory import is_triangular
 from knutson.partitions import (
     CORES_MAX_N,
+    _add_hooks,
+    _shape_mask,
     conjugate,
     count_t_cores,
     degree_hook,
@@ -192,3 +194,29 @@ def test_unique_hook2_oracle():
     # its transpose, so they exist exactly when n - 2 is triangular
     for n in range(1, 40):
         assert (n >= 2 and is_triangular(n - 2)) == unique_hook2_scan(n), n
+
+
+def test_hook_on_empty_shape_gives_signed_hooks():
+    # one t-hook added to the empty shape: the hooks (t - k, 1^k), each
+    # with sign (-1)^k for its k beads jumped over
+    for t in range(1, 9):
+        empty = _shape_mask((), t)
+        assert empty == (1 << t) - 1
+        expected = {
+            _shape_mask((t - k,) + (1,) * k, t): (-1) ** k for k in range(t)
+        }
+        assert _add_hooks({empty: 1}, t) == expected
+
+
+def test_one_hook_is_the_branching_rule():
+    # adding a 1-hook to a shape of 5 adds one box in every way, with sign +
+    n = 6
+    for lam in partitions(5):
+        rows = list(lam) + [0]
+        grown = set()
+        for i in range(len(rows)):
+            if i == 0 or rows[i - 1] > rows[i]:
+                bigger = rows[:i] + [rows[i] + 1] + rows[i + 1:]
+                grown.add(tuple(p for p in bigger if p))
+        expected = {_shape_mask(mu, n): 1 for mu in grown}
+        assert _add_hooks({_shape_mask(lam, n): 1}, 1) == expected

@@ -17,14 +17,17 @@ from knutson.partitions import (
 )
 from knutson.sequences import (
     SequenceRecord,
+    self_conjugate_certificate,
     seq_L_An,
     seq_L_Sn,
     seq_zero_columns_sn,
     vanishing_certificate,
+    zero_in_small_part_columns,
 )
 from knutson.symchar import cycle_types, mn_value, sn_table
 
 from oracles import (
+    class_has_zero,
     class_zero_certified,
     zero_in_every_column_sn,
     zero_in_every_nontrivial_column,
@@ -177,3 +180,54 @@ def test_limits_validated():
     for fn in (seq_L_Sn, seq_L_An, seq_zero_columns_sn):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def test_small_part_sweep_matches_class_has_zero():
+    # every class with parts at most 3 of S_n, n <= 24, decided in one
+    # sweep on 24 beads: each class as its own key, then one key per n
+    classes = [mu for n in range(1, 25) for mu in partitions(n, 3)]
+    want = {mu for mu in classes if class_has_zero(sum(mu), mu)}
+    assert zero_in_small_part_columns({mu: [mu] for mu in classes}) == want
+    by_n = {n: list(partitions(n, 3))[:-1] for n in range(1, 25)}
+    assert zero_in_small_part_columns(by_n) == {
+        n for n, mus in by_n.items() if set(mus) <= want
+    }
+    with pytest.raises(ValueError):
+        zero_in_small_part_columns({5: [(4, 1)]})
+
+
+def test_odd_small_part_classes_vanish_on_a_self_conjugate_shape():
+    # every odd class with parts at most 3 of S_n, n <= 24, has a zero,
+    # on the certificate's character (by mn_value) and by the oracle's
+    # one-column sweep; the sweep skips them all.  S_2 has no
+    # self-conjugate shape, and its transposition no zero.
+    odd = [
+        mu for n in range(1, 25) if n != 2
+        for mu in partitions(n, 3) if mu.count(2) % 2
+    ]
+    assert len(odd) == 255
+    for mu in odd:
+        lam = self_conjugate_certificate(sum(mu))
+        assert conjugate(lam) == lam and mn_value(lam, mu) == 0, mu
+        assert class_has_zero(sum(mu), mu), mu
+    assert zero_in_small_part_columns({mu: [mu] for mu in odd}) == set(odd)
+    assert not class_has_zero(2, (2,))
+    assert zero_in_small_part_columns({(2,): [(2,)]}) == set()
+
+
+@pytest.mark.parametrize("corrupt", ["not_self_conjugate", "wrong_size"])
+def test_corrupted_self_conjugate_shape_raises(monkeypatch, corrupt):
+    real = sequences._self_conjugate_shape
+    if corrupt == "not_self_conjugate":
+        fake = lambda n: (n - 1, 1)
+    else:
+        # self-conjugate, but a shape of n - 2
+        fake = lambda n: real(n - 2)
+    monkeypatch.setattr(sequences, "_self_conjugate_shape", fake)
+    # the certificate is memoized for the process; a failed check caches
+    # nothing, so only sound certificates outlive the patch
+    self_conjugate_certificate.cache_clear()
+    with pytest.raises(AssertionError):
+        zero_in_small_part_columns({7: [(2, 1, 1, 1, 1, 1)]})
+    with pytest.raises(AssertionError):
+        self_conjugate_certificate(6)

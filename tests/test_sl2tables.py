@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from knutson.algnum import CyclotomicTau, MultiQuadratic
+from knutson.chartable import CharacterTable
 from knutson.errors import CapExceededError, TableError
 from knutson.sl2tables import (
     EVEN_CAP,
@@ -29,8 +30,8 @@ EVEN_QS = (2, 4, 8)
 
 
 def test_param_rejects_non_prime_powers():
-    for q in (1, 6, 10, 12, 15):
-        with pytest.raises(ValueError):
+    for q in (-4, -1, 0, 1, 6, 10, 12, 15):
+        with pytest.raises(ValueError, match=f"^q = {q} is not a prime power$"):
             Sl2Param.from_q(q)
     assert Sl2Param.from_q(9).p == 3
     assert Sl2Param.from_q(8).f == 3
@@ -124,6 +125,25 @@ def test_psl2_known_isomorphisms():
     assert sorted(c.size for c in psl2_table(5).classes) == sorted(
         c.size for c in an_table(5).classes
     )
+
+
+@pytest.mark.parametrize("q", (5, 7, 8, 9, 13))
+def test_psl2_table_checks_only_its_own_rows(monkeypatch, q):
+    # one orthogonality check, on the table returned: k(k+1)/2 inner
+    # products for its k classes (45 at q = 13, where checking SL2(13)
+    # first made 198), none of them on an SL2 row it drops
+    labels = []
+    real = CharacterTable.inner_product_rows
+
+    def counted(self, xvals, yvals):
+        labels.append(self.label)
+        return real(self, xvals, yvals)
+
+    monkeypatch.setattr(CharacterTable, "inner_product_rows", counted)
+    table = psl2_table(q)
+    k = len(table.classes)
+    assert len(labels) == k * (k + 1) // 2
+    assert set(labels) == {f"PSL2({q})"}
 
 
 @pytest.mark.parametrize("q", ODD_QS)
@@ -311,3 +331,8 @@ def test_accepted_is_the_negated_exit_4_condition():
                 kinds.add((row.verified, row.correction is not None))
     # verified rows, corrected rows and rejected rows all occur
     assert kinds == {(True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("q", (5, 9))
+def test_rho_pm_obstruction(q):
+    assert verify_rho_pm_obstruction(sl2_table(q))

@@ -6,18 +6,15 @@ from math import factorial
 import pytest
 from oracles import class_has_zero, class_has_zero_scan, fraction_entries, with_entry
 
+from knutson import symchar
 from knutson.algnum import MultiQuadratic, rational_value
 from knutson.errors import CapExceededError, TableError
 from knutson.partitions import (
-    _add_hooks,
-    _shape_mask,
     conjugate,
     degree_hook,
     partitions,
     principal_hooks,
 )
-from knutson import sequences
-from knutson.sequences import self_conjugate_certificate, zero_in_small_part_columns
 from knutson.symchar import (
     CycleType,
     an_table,
@@ -158,6 +155,27 @@ def test_an_table_structure():
         table.check_orthogonality()
 
 
+def test_an_table_sweeps_one_shape_per_conjugate_pair(monkeypatch):
+    # chi_lam and chi_lam' agree on A_n, so only the first shape of each
+    # pair in enumeration order is swept
+    swept = []
+    real = symchar._sweep
+
+    def recording(n, shapes, mus):
+        swept.append(list(shapes))
+        return real(n, shapes, mus)
+
+    monkeypatch.setattr(symchar, "_sweep", recording)
+    for n in range(3, 15):
+        swept.clear()
+        an_table(n)
+        (shapes,) = swept
+        assert all(lam >= conjugate(lam) for lam in shapes)
+        pairs = {frozenset((lam, conjugate(lam))) for lam in partitions(n)}
+        assert len(shapes) == len(pairs)
+        assert {frozenset((lam, conjugate(lam))) for lam in shapes} == pairs
+
+
 def test_irrational_identity_value_is_a_table_error():
     a5 = an_table(5)
     i = a5.degrees.index(4)
@@ -217,57 +235,6 @@ def test_s16_class_scan_makes_no_mn_value_call():
     ]
 
 
-def test_small_part_sweep_matches_class_has_zero():
-    # every class with parts at most 3 of S_n, n <= 24, decided in one
-    # sweep on 24 beads: each class as its own key, then one key per n
-    classes = [mu for n in range(1, 25) for mu in partitions(n, 3)]
-    want = {mu for mu in classes if class_has_zero(sum(mu), mu)}
-    assert zero_in_small_part_columns({mu: [mu] for mu in classes}) == want
-    by_n = {n: list(partitions(n, 3))[:-1] for n in range(1, 25)}
-    assert zero_in_small_part_columns(by_n) == {
-        n for n, mus in by_n.items() if set(mus) <= want
-    }
-    with pytest.raises(ValueError):
-        zero_in_small_part_columns({5: [(4, 1)]})
-
-
-def test_odd_small_part_classes_vanish_on_a_self_conjugate_shape():
-    # every odd class with parts at most 3 of S_n, n <= 24, has a zero,
-    # on the certificate's character (by mn_value) and by the oracle's
-    # one-column sweep; the sweep skips them all.  S_2 has no
-    # self-conjugate shape, and its transposition no zero.
-    odd = [
-        mu for n in range(1, 25) if n != 2
-        for mu in partitions(n, 3) if mu.count(2) % 2
-    ]
-    assert len(odd) == 255
-    for mu in odd:
-        lam = self_conjugate_certificate(sum(mu))
-        assert conjugate(lam) == lam and mn_value(lam, mu) == 0, mu
-        assert class_has_zero(sum(mu), mu), mu
-    assert zero_in_small_part_columns({mu: [mu] for mu in odd}) == set(odd)
-    assert not class_has_zero(2, (2,))
-    assert zero_in_small_part_columns({(2,): [(2,)]}) == set()
-
-
-@pytest.mark.parametrize("corrupt", ["not_self_conjugate", "wrong_size"])
-def test_corrupted_self_conjugate_shape_raises(monkeypatch, corrupt):
-    real = sequences._self_conjugate_shape
-    if corrupt == "not_self_conjugate":
-        fake = lambda n: (n - 1, 1)
-    else:
-        # self-conjugate, but a shape of n - 2
-        fake = lambda n: real(n - 2)
-    monkeypatch.setattr(sequences, "_self_conjugate_shape", fake)
-    # the certificate is memoized for the process; a failed check caches
-    # nothing, so only sound certificates outlive the patch
-    self_conjugate_certificate.cache_clear()
-    with pytest.raises(AssertionError):
-        zero_in_small_part_columns({7: [(2, 1, 1, 1, 1, 1)]})
-    with pytest.raises(AssertionError):
-        self_conjugate_certificate(6)
-
-
 def test_nonvanishing_classes_small():
     # for n >= 3 a class of S_n with no zero in its column has non-fixed
     # part (3^a, 2^b) with b even (in S_2 the transposition has none);
@@ -289,32 +256,6 @@ def test_column_orthogonality_via_centralizers():
         for ct in cycle_types(n):
             total = sum(mn_value(lam, ct.parts) ** 2 for lam in partitions(n))
             assert total == ct.centralizer_order()
-
-
-def test_hook_on_empty_shape_gives_signed_hooks():
-    # one t-hook added to the empty shape: the hooks (t - k, 1^k), each
-    # with sign (-1)^k for its k beads jumped over
-    for t in range(1, 9):
-        empty = _shape_mask((), t)
-        assert empty == (1 << t) - 1
-        expected = {
-            _shape_mask((t - k,) + (1,) * k, t): (-1) ** k for k in range(t)
-        }
-        assert _add_hooks({empty: 1}, t) == expected
-
-
-def test_one_hook_is_the_branching_rule():
-    # adding a 1-hook to a shape of 5 adds one box in every way, with sign +
-    n = 6
-    for lam in partitions(5):
-        rows = list(lam) + [0]
-        grown = set()
-        for i in range(len(rows)):
-            if i == 0 or rows[i - 1] > rows[i]:
-                bigger = rows[:i] + [rows[i] + 1] + rows[i + 1:]
-                grown.add(tuple(p for p in bigger if p))
-        expected = {_shape_mask(mu, n): 1 for mu in grown}
-        assert _add_hooks({_shape_mask(lam, n): 1}, 1) == expected
 
 
 def test_sn_sweep_equals_mn_value():
