@@ -42,12 +42,9 @@ class CharacterTable:
     identity_index: int = 0
     _fusion_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _residue_rows: tuple | None = field(default=None, repr=False, compare=False)
-    # knutsonlat's integer rows per class and d per zero set, None until
-    # the first index or zero-column check, and its Hermite basis of
-    # those rows, None until the first index
-    _class_rows: tuple | None = field(default=None, repr=False, compare=False)
-    _zero_set_d: dict | None = field(default=None, repr=False, compare=False)
-    _index_basis: tuple | None = field(default=None, repr=False, compare=False)
+    # knutsonlat's index state (knutsonlat._index), None until the first
+    # index or zero-column check
+    _index: tuple | None = field(default=None, repr=False, compare=False)
     # set by the first check_orthogonality that passes
     _orthogonal: bool = field(default=False, repr=False, compare=False)
 

@@ -17,14 +17,17 @@ where d is the gcd of lambda(1) over the virtual lambda vanishing on
 supp(chi) minus the identity.  d depends only on chi's zero set, and
 every table takes the one route: d is the least multiplier of e_last
 against the integer rows of chi's support columns (algnum.integer_rows)
-and the degree row, one solve per distinct zero set, memoised on the
-table once its row orthogonality holds.  The rows of every class are
-put in Hermite form once per table (Cohen, A Course in Computational
-Algebraic Number Theory, 2.4), rarest in the zero sets first and the
-degrees last; each zero set's solve then runs on the trailing block
-from its first dropped row on, and its witness is mapped back through
-the transform and re-verified on the class rows (_zero_set_multiplier).
-No fusion matrix is built: rho-invertibility lives in charring, above.
+and the degree row.  _index builds a table's index state once, after
+the index cap and row orthogonality are checked, and holds it in the
+table's one index slot: the integer rows of each class, each
+irreducible's zero set, and one Hermite basis of the rows of every
+class (Cohen, A Course in Computational Algebraic Number Theory, 2.4),
+stacked rarest in the zero sets first and the degrees last.  d is
+solved once per distinct zero set, when first asked for, on the
+trailing block from its first dropped row on, and its witness is
+mapped back through the transform and re-verified on the class rows
+(_zero_set_multiplier).  No fusion matrix is built: rho-invertibility
+lives in charring, above.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .algnum import integer_rows
 from .chartable import CharacterTable
@@ -169,44 +173,38 @@ def check_index_cap(label: str, classes: int) -> None:
         )
 
 
-def _class_rows(table: CharacterTable) -> tuple:
-    """The integer rows of each class (algnum.integer_rows), memoised on
-    the table on first use, after its row orthogonality is checked: no
-    fusion matrix is built, so nothing else guards the values the
-    indices are read from.
+class _Index(NamedTuple):
+    rows: tuple  # the integer rows of each class
+    zeros: tuple  # each irreducible's zero set, a tuple of classes
+    owner: list  # the class of each stacked row
+    basis: list  # hermite_basis of the stacked rows
+    d: dict  # d per zero set, filled as each is first asked for
+
+
+def _index(table: CharacterTable) -> _Index:
+    """The table's index state, built once and memoised on the table.
+
+    The cap is checked first, then row orthogonality: no fusion matrix
+    is built, so nothing else guards the values the indices are read
+    from.  A class is in chi's zero set when column chi of the class's
+    integer rows (algnum.integer_rows) is zero.  The rows of every class
+    are stacked, the classes rarest first by how many distinct zero
+    sets hold them and the identity, whose row is the degrees, last, so
+    a zero set's first dropped row comes late and its block is small;
+    one Hermite basis of the stacked rows serves every zero set.
     """
-    if table._class_rows is None:
+    if table._index is None:
+        check_index_cap(table.label, len(table.classes))
         table.check_orthogonality()
-        table._class_rows = tuple(
+        rows = tuple(
             integer_rows(ir.values[k] for ir in table.irreps)
             for k in range(len(table.classes))
         )
-        table._zero_set_d = {}
-    return table._class_rows
-
-
-def _zero_set(rows: tuple, chi: int) -> tuple[int, ...]:
-    """The classes chi vanishes on: those where column chi of the
-    class's integer rows is zero."""
-    return tuple(k for k, rk in enumerate(rows) if not any(r[chi] for r in rk))
-
-
-def _shared_basis(table: CharacterTable) -> tuple[list[int], list]:
-    """(owner, basis): one Hermite basis per table, for every zero set.
-
-    The integer rows of every class are stacked, the classes rarest
-    first by how many distinct zero sets hold them and the identity,
-    whose row is the degrees, last, so a zero set's first dropped row
-    comes late and its block is small.  owner[i] is the class of
-    stacked row i, and basis is hermite_basis of the stacked rows.
-    Memoised on the table on the first index.
-    """
-    if table._index_basis is None:
-        rows = _class_rows(table)
-        held = Counter(
-            k for z in {_zero_set(rows, chi) for chi in range(len(table.irreps))}
-            for k in z
+        zeros = tuple(
+            tuple(k for k, rk in enumerate(rows) if not any(r[chi] for r in rk))
+            for chi in range(len(table.irreps))
         )
+        held = Counter(k for z in set(zeros) for k in z)
         ident = table.identity_index
         order = sorted(
             (k for k in range(len(rows)) if k != ident), key=lambda k: held[k]
@@ -214,23 +212,8 @@ def _shared_basis(table: CharacterTable) -> tuple[list[int], list]:
         order.append(ident)
         owner = [k for k in order for _ in rows[k]]
         stacked = [r for k in order for r in rows[k]]
-        table._index_basis = (owner, hermite_basis(stacked))
-    return table._index_basis
-
-
-def _support_multiplier(table: CharacterTable, chi: int) -> int:
-    """d: the gcd of lambda(1) over the virtual lambda vanishing on
-    supp(chi) minus the identity, one solve per zero set of chi,
-    memoised on the table.
-    """
-    rows = _class_rows(table)
-    memo = table._zero_set_d
-    zeros = _zero_set(rows, chi)
-    d = memo.get(zeros)
-    if d is None:
-        d = _zero_set_multiplier(table, zeros)
-        memo[zeros] = d
-    return d
+        table._index = _Index(rows, zeros, owner, hermite_basis(stacked), {})
+    return table._index
 
 
 def _zero_set_multiplier(table: CharacterTable, zeros: tuple[int, ...]) -> int:
@@ -247,8 +230,7 @@ def _zero_set_multiplier(table: CharacterTable, zeros: tuple[int, ...]) -> int:
     min_multiplier solves it, and its witness is mapped back through T
     and re-verified against the class rows.
     """
-    rows = _class_rows(table)
-    owner, basis = _shared_basis(table)
+    rows, _, owner, basis, _ = _index(table)
     dropped = set(zeros)
     # with nothing dropped the block is the degree row alone
     first = next((i for i, k in enumerate(owner) if k in dropped), len(owner) - 1)
@@ -282,13 +264,13 @@ def knutson_index_char(table: CharacterTable, chi: int) -> int:
     (module docstring).  Tables with more than INDEX_MAX_CLASSES classes
     raise CapExceededError before any lattice is built.
     """
-    check_index_cap(table.label, len(table.classes))
+    index = _index(table)
+    zeros = index.zeros[chi]
+    if zeros not in index.d:
+        index.d[zeros] = _zero_set_multiplier(table, zeros)
+    d = index.d[zeros]
     degree = table.irreps[chi].degree
-    d = _support_multiplier(table, chi)
-    cofactor = table.order // degree
-    n = d // gcd(d, cofactor)
-    if n * cofactor % d:
-        raise AssertionError("d does not divide K*|G|/chi(1)")
+    n = d // gcd(d, table.order // degree)
     if degree % n:
         # chi (x) rho_reg = chi(1) rho_reg, so the index divides chi(1)
         raise AssertionError("Knutson index does not divide the degree")
@@ -308,10 +290,11 @@ def zero_column_criterion(table: CharacterTable) -> int | None:
     """K' = K certified when every non-trivial column has a zero.
 
     Returns the common value K, or None when the criterion does not
-    apply.  The zeros are read from the integer rows the indices use.
+    apply.  The zeros are those the indices read, so tables with more
+    than INDEX_MAX_CLASSES classes raise CapExceededError first.
     """
-    rows = _class_rows(table)
-    zeros = set().union(*(_zero_set(rows, chi) for chi in range(len(table.irreps))))
-    if len(zeros | {table.identity_index}) < len(rows):
+    index = _index(table)
+    zeros = set().union(*index.zeros)
+    if len(zeros | {table.identity_index}) < len(index.rows):
         return None
     return knutson_index_group(table)

@@ -660,6 +660,19 @@ def test_verify_checks_report_expected_and_found(capsys, monkeypatch, broken):
         assert {c["pass"] for c in checks} == ({False, True} if broken else {True})
 
 
+def test_verify_sequences_checks_the_degrees(capsys, monkeypatch):
+    # with f^(3,2,1) doubled, L(S_6) is 1440 and L(A_6) is 720, so 6, a
+    # term of both sequences, is the one n each degree check finds
+    hook = partitions.degree_hook
+    monkeypatch.setattr(
+        partitions, "degree_hook", lambda lam: hook(lam) * (1 + (lam == (3, 2, 1)))
+    )
+    assert main(["verify", "sequences"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["pass"] for c in checks] == [True, True, True, False, False]
+    assert [c["found"] for c in checks[3:]] == [[6], [6]]
+
+
 @pytest.mark.parametrize("broken", [False, True])
 def test_verify_cores_reports_the_failing_n(capsys, monkeypatch, broken):
     # each range check expects no failing n and finds the n it breaks at:

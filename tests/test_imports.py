@@ -85,9 +85,13 @@ INDEX = COMBINATORICS + ["algnum", "chartable", "knutsonlat", "symchar"]
         ("seq a363676 --limit 10", COMBINATORICS + ["sequences"], []),
         ("seq a363701 --limit 30", COMBINATORICS + ["sequences"], []),
         ("cores --n 10 --t 3 --format json", COMBINATORICS, []),
+        ("verify sequences", COMBINATORICS + ["sequences"], []),
         ("knutson sn 4 --no-cache", INDEX, ["dataclasses"]),
     ],
-    ids=["seq-a363675", "seq-a363676", "seq-a363701", "cores", "knutson-sn-4"],
+    ids=[
+        "seq-a363675", "seq-a363676", "seq-a363701", "cores", "verify-sequences",
+        "knutson-sn-4",
+    ],
 )
 def test_command_loads_only_its_layers(argv, layers, stdlib):
     got = _fresh(

@@ -207,6 +207,48 @@ def test_knutson_index_cap(monkeypatch):
         knutson_index_char(table, 0)
 
 
+def test_zero_column_criterion_cap(monkeypatch):
+    # the criterion reads the zero sets the indices read, so a table
+    # past the cap is refused before any integer row or lattice is built
+    def no_rows(*args):
+        raise AssertionError("integer rows built past the cap")
+
+    def no_lattice(*args):
+        raise AssertionError("lattice built past the cap")
+
+    monkeypatch.setattr(knutsonlat, "integer_rows", no_rows)
+    monkeypatch.setattr(knutsonlat, "hermite_basis", no_lattice)
+    table = sn_table(15)
+    with pytest.raises(CapExceededError, match="176 exceeds cap 135"):
+        zero_column_criterion(table)
+
+
+def test_one_solve_per_zero_set(monkeypatch):
+    # one character's index solves its zero set's block alone, and a
+    # character with the same zero set reads d without a solve
+    calls = []
+
+    def counted(m, v, **kw):
+        calls.append(len(m))
+        return min_multiplier(m, v, **kw)
+
+    monkeypatch.setattr(knutsonlat, "min_multiplier", counted)
+    built = sn_table(8)
+    table = CharacterTable(
+        built.label, built.order, built.classes, built.irreps,
+        built.identity_index,
+    )
+    chi = next(i for i in range(len(table.irreps)) if _zero_set(table, i))
+    twin = next(
+        j for j in range(len(table.irreps))
+        if j != chi and _zero_set(table, j) == _zero_set(table, chi)
+    )
+    knutson_index_char(table, chi)
+    assert len(calls) == 1
+    knutson_index_char(table, twin)
+    assert len(calls) == 1
+
+
 def test_knutson_index_cap_boundary():
     # S14 has exactly INDEX_MAX_CLASSES classes and S15 the next count
     # of any S_n or A_n (A17 has 156); the CLI runs S14 at the cap
@@ -247,7 +289,7 @@ def test_zero_set_index_matches_fusion_path():
     a12 = an_table(12)
     assert [knutson_index_char(a12, i) for i in range(len(a12.irreps))].count(2) == 1
     sl2_13 = sl2_table(13)
-    assert knutson_index_group(sl2_13) == 2 and len(sl2_13._zero_set_d) == 6
+    assert knutson_index_group(sl2_13) == 2 and len(sl2_13._index.d) == 6
 
 
 def test_zero_set_multiplier_matches_dual_oracle():
@@ -258,7 +300,7 @@ def test_zero_set_multiplier_matches_dual_oracle():
     for n in range(1, 9):
         table = sn_table(n)
         knutson_index_group(table)
-        memo = table._zero_set_d
+        memo = table._index.d
         zero_sets = {_zero_set(table, i) for i in range(len(table.irreps))}
         assert set(memo) == zero_sets
         for i in range(len(table.irreps)):
@@ -286,13 +328,13 @@ def test_no_index_builds_a_fusion_matrix(monkeypatch):
             built.identity_index,
         )
         knutson_index_group(table)
-        assert table._zero_set_d and table._residue_rows is None
+        assert table._index.d and table._residue_rows is None
 
 
 def _kept_rows_multiplier(table, zeros):
     """d of a zero set by min_multiplier on the kept class rows and the
     degrees, in class order: the route without the shared basis."""
-    rows = knutsonlat._class_rows(table)
+    rows = knutsonlat._index(table).rows
     m = [
         r
         for k, rk in enumerate(rows)
@@ -320,10 +362,10 @@ def test_shared_basis_route_matches_the_kept_rows():
         + [psl2_table(q) for q in _SL2_QS]
     )
     for table in tables:
-        rows = knutsonlat._class_rows(table)
-        zero_sets = {knutsonlat._zero_set(rows, i) for i in range(len(rows))}
-        others = [k for k in range(len(rows)) if k != table.identity_index]
-        first = knutsonlat._shared_basis(table)[0][0]
+        index = knutsonlat._index(table)
+        zero_sets = set(index.zeros)
+        others = [k for k in range(len(index.rows)) if k != table.identity_index]
+        first = index.owner[0]
         cases = zero_sets | {()}
         if others:
             cases.add((first,))
