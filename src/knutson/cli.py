@@ -9,10 +9,11 @@ of knutson.tablejson.  Tables are cached under KNUTSON_CACHE_DIR
 (default ~/.cache/knutson), one `{key}.v4.json` file per table (`.v1`,
 `.v2` and `.v3` files are ignored): the SHA-256 hex digest of the compact
 table JSON, a newline, then exactly those JSON bytes, written
-atomically via temp-file rename.  An entry that fails its digest, does
-not decode, or holds another group than its key names is a miss (and is
-rebuilt and overwritten); a cache that cannot be written is a warning
-on stderr, not a failure.
+atomically via temp-file rename.  The kind's check_group checks the
+parameter and gives the table's label before any cache read; an entry
+that fails its digest, does not decode, or holds a table of another
+label is a miss (and is rebuilt and overwritten); a cache that cannot
+be written is a warning on stderr, not a failure.
 
 Importing this module loads only the parser's needs.  Each command
 imports the layers it runs when it runs, and looks its functions up on
@@ -50,16 +51,8 @@ def _cache_path(key: str) -> str:
     return os.path.join(cache_dir(), f"{key}.v{CACHE_VERSION}.json")
 
 
-def _key_label(key: str) -> str:
-    """The label of the table a key names: sn-5 is S5, psl2-9 is PSL2(9)."""
-    kind, _, param = key.partition("-")
-    if kind in ("sn", "an"):
-        return f"{kind[0].upper()}{param}"
-    return f"{kind.upper()}({param})"
-
-
-def cache_load(key: str):
-    """The cached table of key, or None."""
+def cache_load(key: str, label: str):
+    """The table cached under key, or None unless it is labelled label."""
     import hashlib
     import json
 
@@ -73,7 +66,7 @@ def cache_load(key: str):
         table = table_from_json(json.loads(body))
         # a valid entry of another group, e.g. a file copied under the
         # wrong name, is a miss too
-        return table if table.label == _key_label(key) else None
+        return table if table.label == label else None
     except (
         OSError, ValueError, LookupError, TypeError, AttributeError,
         ArithmeticError, TableError,
@@ -106,7 +99,7 @@ def cache_store(key: str, table) -> None:
 
 
 def _table_module(kind: str):
-    """The module that builds and caps the tables of kind."""
+    """The module that builds the tables of kind and has its check_group."""
     if kind in ("sn", "an"):
         from . import symchar
 
@@ -118,23 +111,15 @@ def _table_module(kind: str):
     raise UsageError(f"unknown group kind {kind!r}")
 
 
-def _check_cap(kind: str, param: int) -> None:
-    """The builders' caps, checked before any cache read."""
-    module = _table_module(kind)
-    if kind in ("sn", "an"):
-        module.check_cap(kind, param)
-    else:
-        module.Sl2Param.from_q(param)
-
-
 def get_table(kind: str, param: int, use_cache: bool = True):
-    _check_cap(kind, param)
+    module = _table_module(kind)
+    label, _count = module.check_group(kind, param)
     key = f"{kind}-{param}"
     if use_cache:
-        cached = cache_load(key)
+        cached = cache_load(key, label)
         if cached is not None:
             return cached
-    table = getattr(_table_module(kind), f"{kind}_table")(param)
+    table = getattr(module, f"{kind}_table")(param)
     if use_cache:
         try:
             cache_store(key, table)
@@ -235,14 +220,8 @@ def cmd_knutson(args) -> int:
         zero_column_criterion,
     )
 
-    if args.kind in ("sn", "an") and args.param >= 1:
-        # the class count is known from n, so a table past the index cap
-        # is refused before it is built
-        from .symchar import an_classes, cycle_types
-
-        _check_cap(args.kind, args.param)
-        classes = (cycle_types if args.kind == "sn" else an_classes)(args.param)
-        check_index_cap(f"{args.kind[0].upper()}{args.param}", len(classes))
+    label, count = _table_module(args.kind).check_group(args.kind, args.param)
+    check_index_cap(label, count)  # before the table is built
     table = get_table(args.kind, args.param, use_cache=not args.no_cache)
     report: dict = {"group": table.label, "order": table.order}
     if args.char is not None:

@@ -168,7 +168,7 @@ def check_index_cap(label: str, classes: int) -> None:
     """
     if classes > INDEX_MAX_CLASSES:
         raise CapExceededError(
-            f"knutson_index_char({label}): class count "
+            f"Knutson index of {label}: class count "
             f"{classes} exceeds cap {INDEX_MAX_CLASSES}"
         )
 

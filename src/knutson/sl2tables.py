@@ -128,6 +128,19 @@ class Sl2Param:
         return self.q * (self.q * self.q - 1)
 
 
+def check_group(kind: str, q: int) -> tuple[str, int]:
+    """(label, class count) of the SL2(q) ("sl2") or PSL2(q) ("psl2")
+    table, known before it is built; Sl2Param.from_q checks q.  SL2(q)
+    has the q + 4 classes listed above for odd q, and PSL2(q) (q + 5)/2;
+    for even q both are one group of q + 1 classes."""
+    Sl2Param.from_q(q)
+    if q % 2 == 0:
+        count = q + 1
+    else:
+        count = q + 4 if kind == "sl2" else (q + 5) // 2
+    return f"{kind.upper()}({q})", count
+
+
 def _pair(par: Sl2Param, n: int, k: int) -> CyclotomicTau:
     """x^k + x^(-k) for x of order n: alpha for n = q - 1, beta for q + 1."""
     m, s = par.m, (par.m // n) * k

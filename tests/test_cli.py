@@ -88,7 +88,7 @@ def test_malformed_integer_value_is_a_miss(value):
     assert payload["irreps"][0]["values"][0] == 1
     payload["irreps"][0]["values"][0] = value
     _write_entry("sn-4", payload)
-    assert cache_load("sn-4") is None
+    assert cache_load("sn-4", "S4") is None
 
 
 def test_table_round_trip_preserves_orthogonality():
@@ -149,9 +149,9 @@ def test_lattice_layer_does_not_load_sl2_tables():
 
 def test_cache_round_trip():
     table = sl2_table(7)
-    assert cache_load("sl2-7") is None
+    assert cache_load("sl2-7", "SL2(7)") is None
     cache_store("sl2-7", table)
-    cached = cache_load("sl2-7")
+    cached = cache_load("sl2-7", "SL2(7)")
     assert cached is not None
     assert cached.degrees == table.degrees
     cached.check_orthogonality()
@@ -169,7 +169,7 @@ def test_cache_round_trip():
 def test_cache_round_trip_is_exact(key, build, param):
     built = build(param)
     cache_store(key, built)
-    assert table_to_json(cache_load(key)) == table_to_json(built)
+    assert table_to_json(cache_load(key, built.label)) == table_to_json(built)
 
 
 @pytest.mark.parametrize(
@@ -186,7 +186,7 @@ def test_cached_table_equals_the_built_table(key, build, param):
     # takes no part in comparing tables
     built = build(param)
     cache_store(key, built)
-    cached = cache_load(key)
+    cached = cache_load(key, built.label)
     assert cached == built
     assert [c.data for c in cached.classes] != [c.data for c in built.classes]
 
@@ -210,7 +210,7 @@ def test_cache_rejects_corruption():
     assert b'"order":24,' in body
     corrupt = body.replace(b'"order":24,', b'"order":25,')
     Path(cli._cache_path("sn-4")).write_bytes(digest + b"\n" + corrupt)
-    assert cache_load("sn-4") is None  # checksum mismatch
+    assert cache_load("sn-4", "S4") is None  # checksum mismatch
 
 
 def _flip(body, i):
@@ -236,7 +236,7 @@ def test_cache_flipped_body_byte_is_a_miss(which):
     flips = [i for i in range(len(body)) if _decodes(_flip(body, i))]
     flipped = _flip(body, flips[int(which * len(flips))])
     Path(cli._cache_path("sn-4")).write_bytes(digest + b"\n" + flipped)
-    assert cache_load("sn-4") is None
+    assert cache_load("sn-4", "S4") is None
 
 
 @pytest.mark.parametrize(
@@ -252,7 +252,7 @@ def test_cache_flipped_body_byte_is_a_miss(which):
 def test_cache_malformed_file_is_a_miss(damage):
     cache_store("sn-4", sn_table(4))
     Path(cli._cache_path("sn-4")).write_bytes(damage(*_entry("sn-4")))
-    assert cache_load("sn-4") is None
+    assert cache_load("sn-4", "S4") is None
 
 
 def test_cache_ignores_v1_entries(capsys):
@@ -279,7 +279,7 @@ def test_cache_ignores_v1_entries(capsys):
     directory.mkdir(parents=True)
     for path, blob in old.items():
         path.write_bytes(blob)
-    assert cache_load("sn-4") is None
+    assert cache_load("sn-4", "S4") is None
     assert main(["table", "sn", "4"]) == 0
     cached = capsys.readouterr()
     assert main(["table", "sn", "4", "--no-cache"]) == 0
@@ -349,7 +349,7 @@ def test_undecodable_checksummed_entry_is_a_miss(corrupt, capsys):
     payload = json.loads(_entry("sl2-4")[1])
     corrupt(payload)
     _write_entry("sl2-4", payload)
-    assert cache_load("sl2-4") is None
+    assert cache_load("sl2-4", "SL2(4)") is None
     assert main(["table", "sl2", "4"]) == 0
     cached = capsys.readouterr()
     assert main(["table", "sl2", "4", "--no-cache"]) == 0
@@ -361,7 +361,7 @@ def test_undecodable_checksummed_entry_is_a_miss(corrupt, capsys):
 def test_cache_entry_that_is_not_an_object_is_a_miss():
     cache_store("sn-4", sn_table(4))
     _write_entry("sn-4", [])
-    assert cache_load("sn-4") is None
+    assert cache_load("sn-4", "S4") is None
 
 
 @pytest.mark.parametrize(
@@ -382,12 +382,39 @@ def test_cache_entry_under_the_wrong_key_is_a_miss(
     # and overwritten by the command
     cache_store(source, build(param))
     Path(cli._cache_path(key)).write_bytes(Path(cli._cache_path(source)).read_bytes())
-    assert cache_load(source).label != label
-    assert cache_load(key) is None
+    assert cache_load(source, build(param).label).label != label
+    assert cache_load(key, label) is None
     kind, _, n = key.partition("-")
     assert main(["knutson", kind, n]) == 0
     assert capsys.readouterr().out.startswith(f"group: {label}\n")
-    assert cache_load(key).label == label
+    assert cache_load(key, label).label == label
+
+
+@pytest.mark.parametrize(
+    "key, label, build, param, message",
+    [
+        ("an-2", "A2", an_table, 3, "an_table requires n >= 3"),
+        ("an-1", "A1", an_table, 3, "an_table requires n >= 3"),
+        ("sn-0", "S0", sn_table, 1, "n must be positive"),
+    ],
+    ids=["an-2", "an-1", "sn-0"],
+)
+@pytest.mark.parametrize("command", ["table", "knutson"])
+def test_cache_cannot_skip_the_parameter_check(
+    capsys, command, key, label, build, param, message
+):
+    # a checksummed entry under a key no builder accepts, labelled as
+    # the key names: the parameter is refused before the cache is read,
+    # as --no-cache refuses it
+    planted = build(param)
+    planted.label = label
+    cache_store(key, planted)
+    kind, _, n = key.partition("-")
+    assert main([command, kind, n, "--no-cache"]) == 2
+    refused = capsys.readouterr()
+    assert refused.out == "" and refused.err == f"error: {message}\n"
+    assert main([command, kind, n]) == 2
+    assert capsys.readouterr() == refused
 
 
 def test_unusable_cache_dir_is_a_warning(tmp_path):
@@ -594,7 +621,7 @@ def _rho_rows(report):
 def test_paper_rho_inverses_on_a_cached_table(q):
     built = sl2_table(q)
     cache_store(f"sl2-{q}", built)
-    cached = cache_load(f"sl2-{q}")
+    cached = cache_load(f"sl2-{q}", built.label)
     assert not cached._orthogonal
     got = paper_rho_inverses(cached)
     assert cached._orthogonal  # checked where it was used
@@ -905,7 +932,7 @@ def test_knutson_index_cap_exits_3(capsys):
 
 @pytest.mark.parametrize("kind, n", [("sn", 15), ("sn", 22), ("an", 17)])
 def test_knutson_index_cap_before_the_table_is_built(capsys, kind, n):
-    # the class count comes from n, so the table (S22 took 14.5 s) is
+    # the class count comes from n, so the table (S22 took 1.7 s) is
     # never built; S15 (176 classes) and A17 (156) are the first S_n
     # and A_n past the cap
     start = time.perf_counter()
@@ -917,6 +944,26 @@ def test_knutson_index_cap_before_the_table_is_built(capsys, kind, n):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "exceeds cap" in lines[0]
+
+
+@pytest.mark.parametrize("kind, count", [("sl2", 17), ("psl2", 9)])
+def test_knutson_index_cap_before_any_sl2_table_is_built(
+    capsys, monkeypatch, kind, count
+):
+    # every kind's class count comes from its parameter: with the cap
+    # below SL2(13)'s 17 classes and PSL2(13)'s 9, neither is built
+    def no_build(par):
+        raise AssertionError("table built past the index cap")
+
+    monkeypatch.setattr(knutsonlat, "INDEX_MAX_CLASSES", 8)
+    monkeypatch.setattr(sl2tables, "_sl2", no_build)
+    assert main(["knutson", kind, "13", "--no-cache"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: Knutson index of {kind.upper()}(13): class count {count} "
+        "exceeds cap 8\n"
+    )
 
 
 def test_knutson_single_char_at_the_index_cap(capsys):
@@ -931,7 +978,7 @@ def test_cap_checked_before_cache(capsys):
     fake = sn_table(4)
     fake.label = "S23"
     cache_store("sn-23", fake)
-    assert cache_load("sn-23") is not None
+    assert cache_load("sn-23", "S23") is not None
     assert main(["table", "sn", "23"]) == 3
     assert "exceeds cap" in capsys.readouterr().err
 

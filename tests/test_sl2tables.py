@@ -1,5 +1,6 @@
 """Generic SL2(q) and PSL2(q) tables: structure, known isomorphisms, rho rows."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from knutson.sl2tables import (
     Sl2Param,
     _psl2_odd,
     center_fixed_indices,
+    check_group,
     paper_rho_inverses,
     psl2_table,
     rho_theorem_character,
@@ -63,6 +65,31 @@ def test_param_caps_by_parity():
             Sl2Param.from_q(q)
     assert Sl2Param.from_q(16).f == 4
     assert Sl2Param.from_q(32).f == 5
+
+
+# every q within the caps: the prime powers up to ODD_CAP and the powers
+# of 2 up to EVEN_CAP
+QS_IN_CAPS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 32)
+
+
+@pytest.mark.parametrize("kind, build", [("sl2", sl2_table), ("psl2", psl2_table)])
+def test_check_group_names_and_counts_the_built_table(kind, build):
+    # the label and class count known before any table exists are those
+    # of the table the builder makes
+    assert max(QS_IN_CAPS) == EVEN_CAP
+    assert max(q for q in QS_IN_CAPS if q % 2) == ODD_CAP
+    for q in QS_IN_CAPS:
+        table = build(q)
+        assert check_group(kind, q) == (table.label, len(table.classes)), q
+
+
+@pytest.mark.parametrize("q", (-4, 0, 1, 6, 17, 64, 10**18 + 3))
+@pytest.mark.parametrize("kind, build", [("sl2", sl2_table), ("psl2", psl2_table)])
+def test_check_group_raises_what_the_builder_raises(kind, build, q):
+    with pytest.raises((ValueError, CapExceededError)) as built:
+        build(q)
+    with pytest.raises(built.type, match=f"^{re.escape(str(built.value))}$"):
+        check_group(kind, q)
 
 
 @pytest.mark.parametrize("q", sorted(SL2_ENTRIES))

@@ -1,5 +1,6 @@
 """S_n and A_n character tables against independent classical oracles."""
 
+import re
 from itertools import permutations
 from math import factorial
 
@@ -16,8 +17,10 @@ from knutson.partitions import (
     principal_hooks,
 )
 from knutson.symchar import (
+    DEFAULT_CAP,
     CycleType,
     an_table,
+    check_group,
     cycle_types,
     mn_value,
     rim_hook_removals,
@@ -120,6 +123,30 @@ def test_sn_table_structure():
 def test_sn_table_cap():
     with pytest.raises(CapExceededError):
         sn_table(23)
+
+
+@pytest.mark.parametrize(
+    "kind, build, ns",
+    [("sn", sn_table, range(1, 17)), ("an", an_table, range(3, 18))],
+)
+def test_check_group_names_and_counts_the_built_table(kind, build, ns):
+    # the label and class count known before any table exists are those
+    # of the table the builder makes
+    for n in ns:
+        table = build(n)
+        assert check_group(kind, n) == (table.label, len(table.classes)), n
+
+
+@pytest.mark.parametrize(
+    "kind, build, n",
+    [("sn", sn_table, n) for n in (-1, 0, DEFAULT_CAP + 1, 10**18 + 3)]
+    + [("an", an_table, n) for n in (-1, 0, 1, 2, DEFAULT_CAP + 1, 10**18 + 3)],
+)
+def test_check_group_raises_what_the_builder_raises(kind, build, n):
+    with pytest.raises((ValueError, CapExceededError)) as built:
+        build(n)
+    with pytest.raises(built.type, match=f"^{re.escape(str(built.value))}$"):
+        check_group(kind, n)
 
 
 def test_integer_values_are_ints():
