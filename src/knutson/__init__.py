@@ -28,7 +28,7 @@ _EXPORTS = {
         "Sl2Param", "paper_rho_inverses", "psl2_table",
         "rho_theorem_character", "sl2_table", "verify_rho_pm_obstruction",
     ),
-    "symchar": ("an_table", "cycle_types", "mn_value", "sn_table"),
+    "symchar": ("an_table", "mn_value", "sn_table"),
 }
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

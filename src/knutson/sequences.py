@@ -17,6 +17,8 @@ them; only the classes with parts at most 3 are walked.  Those without
 a certificate are decided by one sweep on the bead abacus that shares
 their columns' prefixes across n (zero_in_small_part_columns), which
 certifies the odd ones by a self-conjugate shape instead of sweeping.
+An n that has a class with parts at most 3 and no zero is not a term,
+whatever its other classes, so (n, t, 0) is built for the terms alone.
 """
 
 from __future__ import annotations
@@ -216,10 +218,6 @@ def seq_zero_columns_sn(limit: int) -> SequenceRecord:
         raise CapExceededError(
             f"seq_zero_columns_sn({limit}) exceeds cap {ZERO_COLUMNS_CAP}"
         )
-    # (n, t, 0) certifies every class of n with a part t >= 4
-    for t in range(4, limit + 1):
-        for n in range(t, limit + 1):
-            _certificate(n, t, 0)
     uncertified = {
         n: [
             mu for mu in partitions(n, 3)
@@ -228,4 +226,9 @@ def seq_zero_columns_sn(limit: int) -> SequenceRecord:
         for n in range(1, limit + 1)
     }
     terms = tuple(sorted(zero_in_small_part_columns(uncertified)))
+    # (n, t, 0) certifies every class of n with a part t >= 4; an n left
+    # out already has a class with parts at most 3 and no zero
+    for n in terms:
+        for t in range(4, n + 1):
+            _certificate(n, t, 0)
     return SequenceRecord("a363701", limit, terms)

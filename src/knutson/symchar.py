@@ -1,5 +1,12 @@
 """Character tables of S_n and A_n.
 
+A conjugacy class of S_n is its cycle type, a partition mu of n, and
+the classes of each group are listed once, by _classes: for S_n every
+mu in reverse lexicographic order, for A_n the even mu, with those of
+distinct odd parts split in two.  check_group counts that list, and
+sn_table and an_table label their columns from it; the identity 1^n is
+its last class.
+
 Whole tables come from a forward Murnaghan-Nakayama sweep on the bead
 masks of partitions (_add_hooks adds a signed rim hook to n-bead masks).
 The rule holds for the cycle lengths taken in any order, so each cycle
@@ -25,7 +32,6 @@ principal hooks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
@@ -39,7 +45,6 @@ from .partitions import (
     _shape_mask,
     conjugate,
     degree_hook,
-    partition_counts,
     partitions,
     principal_hooks,
 )
@@ -47,60 +52,50 @@ from .partitions import (
 DEFAULT_CAP = 22
 
 
-@cache
 def check_group(kind: str, n: int) -> tuple[str, int]:
     """(label, class count) of the S_n ("sn") or A_n ("an") table before
     it is built, and the one check of n: ValueError below 1 (S_n) or 3
-    (A_n), CapExceededError above DEFAULT_CAP.  Memoised, since the CLI
-    and the builder both ask: A22's count took 1.4 ms on a 2-core host."""
-    if kind == "sn" and n < 1:
-        raise ValueError("n must be positive")
-    if kind == "an" and n < 3:
-        raise ValueError("an_table requires n >= 3")
+    (A_n), CapExceededError above DEFAULT_CAP.  The count is the length
+    of the memoised class list, which the builder then reads."""
+    group = kind[0].upper()  # "S" or "A"
+    least = 3 if group == "A" else 1
+    if n < least:
+        raise ValueError(f"{group}_n needs n >= {least}, not n = {n}")
     if n > DEFAULT_CAP:
-        raise CapExceededError(f"{kind}_table({n}) exceeds cap {DEFAULT_CAP}")
-    if kind == "sn":
-        return f"S{n}", partition_counts(n)[n]
-    return f"A{n}", len(an_classes(n))
+        raise CapExceededError(f"n = {n} exceeds cap {DEFAULT_CAP}")
+    return f"{group}{n}", len(_classes(kind, n))
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Conjugacy class of S_n, labelled by its cycle lengths."""
+@cache
+def _classes(kind: str, n: int) -> tuple[ConjClass, ...]:
+    """The classes of S_n ("sn") or A_n ("an") for a checked n, one per
+    cycle type mu in reverse lexicographic order, of size n!/z_mu.
 
-    parts: Partition
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
-
-    def centralizer_order(self) -> int:
-        return prod(k**m * factorial(m) for k, m in self.multiplicities().items())
-
-    def class_size(self) -> int:
-        return factorial(self.n) // self.centralizer_order()
-
-    def is_even(self) -> bool:
-        return (self.n - len(self.parts)) % 2 == 0
-
-    def splits_in_alternating(self) -> bool:
-        return all(p % 2 for p in self.parts) and len(set(self.parts)) == len(self.parts)
-
-    def label(self) -> str:
-        return "(" + ",".join(map(str, self.parts)) + ")" if self.parts else "()"
-
-
-def cycle_types(n: int) -> list[CycleType]:
-    """One class per partition of n, in reverse lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return [CycleType(mu) for mu in partitions(n)]
+    S_n: data is mu.  A_n: the even mu, with data (mu, half); a mu of
+    distinct odd parts splits into two classes of half the size,
+    labelled '+' (half 1) and '-' (half 2), and any other has half 0.
+    The identity 1^n comes last: it is even and never split.
+    """
+    order = factorial(n)
+    out = []
+    for mu in partitions(n):
+        label = f"({','.join(map(str, mu))})"
+        # z_mu, the order of the centralizer: k^m m! for each part k of
+        # multiplicity m
+        z = prod(k ** mu.count(k) * factorial(mu.count(k)) for k in set(mu))
+        size = order // z
+        if kind == "sn":
+            out.append(ConjClass(label, size, mu))
+        elif (n - len(mu)) % 2:
+            continue
+        elif all(p % 2 for p in mu) and len(set(mu)) == len(mu):
+            out.append(ConjClass(label + "+", size // 2, (mu, 1)))
+            out.append(ConjClass(label + "-", size // 2, (mu, 2)))
+        else:
+            out.append(ConjClass(label, size, (mu, 0)))
+    if out[-1].data not in ((1,) * n, ((1,) * n, 0)):
+        raise AssertionError(f"the last class of {kind} {n} is not the identity")
+    return tuple(out)
 
 
 def _beta_set(lam: Partition) -> tuple[int, ...]:
@@ -181,19 +176,12 @@ def sn_table(n: int) -> CharacterTable:
     lexicographic order, so the identity class (1^n) comes last.
     """
     label, _count = check_group("sn", n)
-    classes = tuple(
-        ConjClass(ct.label(), ct.class_size(), ct) for ct in cycle_types(n)
-    )
-    mus = [c.data.parts for c in classes]
-    identity_index = mus.index((1,) * n)
+    classes = _classes("sn", n)
     shapes = list(partitions(n))
     irreps = []
-    for lam, row in zip(shapes, _sweep(n, shapes, mus)):
-        values = tuple(row)
-        irreps.append(Irrep(str(lam), values[identity_index], values))
-    return CharacterTable(
-        label, factorial(n), classes, tuple(irreps), identity_index
-    )
+    for lam, row in zip(shapes, _sweep(n, shapes, [c.data for c in classes])):
+        irreps.append(Irrep(str(lam), row[-1], tuple(row)))
+    return CharacterTable(label, factorial(n), classes, tuple(irreps), len(classes) - 1)
 
 
 def _split_value(lam: Partition) -> tuple[int, MultiQuadratic, MultiQuadratic]:
@@ -207,20 +195,6 @@ def _split_value(lam: Partition) -> tuple[int, MultiQuadratic, MultiQuadratic]:
     return eps, half_eps + root, half_eps - root
 
 
-def an_classes(n: int) -> list[tuple[CycleType, int]]:
-    """A_n classes as (cycle type, half) with half in {0} or {1, 2}."""
-    out = []
-    for ct in cycle_types(n):
-        if not ct.is_even():
-            continue
-        if ct.splits_in_alternating():
-            out.append((ct, 1))
-            out.append((ct, 2))
-        else:
-            out.append((ct, 0))
-    return out
-
-
 def an_table(n: int) -> CharacterTable:
     """Exact character table of A_n (n >= 3), values in MultiQuadratic or int.
 
@@ -229,24 +203,12 @@ def an_table(n: int) -> CharacterTable:
     observable.
     """
     label, _count = check_group("an", n)
-    cls_list = an_classes(n)
-    classes = []
-    for ct, half in cls_list:
-        if half == 0:
-            classes.append(ConjClass(ct.label(), ct.class_size(), (ct, 0)))
-        else:
-            sign = "+" if half == 1 else "-"
-            classes.append(
-                ConjClass(ct.label() + sign, ct.class_size() // 2, (ct, half))
-            )
-    identity_index = next(
-        i for i, c in enumerate(classes) if c.data[0].parts == (1,) * n
-    )
+    classes = _classes("an", n)
 
     # chi_lam and chi_lam' agree on A_n: sweep the first shape of each
     # conjugate pair in enumeration order
     shapes = [lam for lam in partitions(n) if lam >= conjugate(lam)]
-    rows = _sweep(n, shapes, [ct.parts for ct, _half in cls_list])
+    rows = _sweep(n, shapes, [c.data[0] for c in classes])
     irreps = []
     for lam, row in zip(shapes, rows):
         if lam != conjugate(lam):
@@ -256,14 +218,15 @@ def an_table(n: int) -> CharacterTable:
         _eps, v_plus, v_minus = _split_value(lam)
         half_degree = degree_hook(lam) // 2
         vals_p, vals_m = [], []
-        for (ct, half), full in zip(cls_list, row):
-            if half and ct.parts == hooks:
+        for c, full in zip(classes, row):
+            mu, half = c.data
+            if half and mu == hooks:
                 a, b = (v_plus, v_minus) if half == 1 else (v_minus, v_plus)
                 vals_p.append(a)
                 vals_m.append(b)
             elif full % 2:
                 raise AssertionError(
-                    f"odd restricted value {full} for {lam} on {ct.parts}"
+                    f"odd restricted value {full} for {lam} on {mu}"
                 )
             else:
                 vals_p.append(full // 2)
@@ -271,5 +234,5 @@ def an_table(n: int) -> CharacterTable:
         irreps.append(Irrep(f"{lam}+", half_degree, tuple(vals_p)))
         irreps.append(Irrep(f"{lam}-", half_degree, tuple(vals_m)))
     return CharacterTable(
-        label, factorial(n) // 2, classes, tuple(irreps), identity_index
+        label, factorial(n) // 2, classes, tuple(irreps), len(classes) - 1
     )

@@ -16,7 +16,7 @@ from knutson.charring import VirtualCharacter
 from knutson.errors import TableError
 from knutson.partitions import _add_hooks, degree_hook, partition_counts, partitions
 from knutson.sequences import vanishing_certificate
-from knutson.symchar import CycleType, cycle_types, mn_value
+from knutson.symchar import mn_value
 
 Matrix = list[list[int]]
 
@@ -146,16 +146,16 @@ def class_has_zero_scan(n: int, mu: tuple[int, ...]) -> bool:
     return any(mn_value(lam, mu) == 0 for lam in shapes)
 
 
-def class_zero_certified(n: int, ct: CycleType) -> bool:
+def class_zero_certified(n: int, mu: tuple[int, ...]) -> bool:
     """Whether some character vanishes on the class, decided one class at
     a time: a vanishing certificate re-checked by evaluating it with
     mn_value, else the class's one-column sweep."""
-    cert = vanishing_certificate(ct.parts)
+    cert = vanishing_certificate(mu)
     if cert is not None:
-        if mn_value(cert[0], ct.parts) != 0:
-            raise AssertionError(f"vanishing certificate {cert} fails on {ct.parts}")
+        if mn_value(cert[0], mu) != 0:
+            raise AssertionError(f"vanishing certificate {cert} fails on {mu}")
         return True
-    return class_has_zero(n, ct.parts)
+    return class_has_zero(n, mu)
 
 
 def zero_in_every_column_sn(n: int) -> bool:
@@ -163,9 +163,9 @@ def zero_in_every_column_sn(n: int) -> bool:
     from class_zero_certified on every class."""
     identity = (1,) * n
     return all(
-        class_zero_certified(n, ct)
-        for ct in cycle_types(n)
-        if ct.parts != identity
+        class_zero_certified(n, mu)
+        for mu in partitions(n)
+        if mu != identity
     )
 
 

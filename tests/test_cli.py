@@ -393,9 +393,9 @@ def test_cache_entry_under_the_wrong_key_is_a_miss(
 @pytest.mark.parametrize(
     "key, label, build, param, message",
     [
-        ("an-2", "A2", an_table, 3, "an_table requires n >= 3"),
-        ("an-1", "A1", an_table, 3, "an_table requires n >= 3"),
-        ("sn-0", "S0", sn_table, 1, "n must be positive"),
+        ("an-2", "A2", an_table, 3, "A_n needs n >= 3, not n = 2"),
+        ("an-1", "A1", an_table, 3, "A_n needs n >= 3, not n = 1"),
+        ("sn-0", "S0", sn_table, 1, "S_n needs n >= 1, not n = 0"),
     ],
     ids=["an-2", "an-1", "sn-0"],
 )

@@ -69,6 +69,10 @@ CASES = {
         2, ("knutson", "sn", "7", "--char", "nope", "--no-cache")
     ),
     "knutson_sl2_0.txt": (2, ("knutson", "sl2", "0", "--no-cache")),
+    "knutson_sn_23.txt": (3, ("knutson", "sn", "23", "--no-cache")),
+    "table_an_2.txt": (2, ("table", "an", "2", "--no-cache")),
+    "table_sn_8.csv": (0, ("table", "sn", "8", "--format", "csv", "--no-cache")),
+    "table_an_9.txt": (0, ("table", "an", "9", "--no-cache")),
 }
 
 

@@ -30,7 +30,7 @@ from knutson.knutsonlat import (
     zero_column_criterion,
 )
 from knutson.sl2tables import psl2_table, sl2_table
-from knutson.symchar import an_table, cycle_types, sn_table
+from knutson.symchar import an_table, check_group, sn_table
 
 
 def _brute_solvable(m, b, bound):
@@ -252,7 +252,7 @@ def test_one_solve_per_zero_set(monkeypatch):
 def test_knutson_index_cap_boundary():
     # S14 has exactly INDEX_MAX_CLASSES classes and S15 the next count
     # of any S_n or A_n (A17 has 156); the CLI runs S14 at the cap
-    assert len(cycle_types(14)) == INDEX_MAX_CLASSES
+    assert check_group("sn", 14)[1] == INDEX_MAX_CLASSES
     check_index_cap("S14", INDEX_MAX_CLASSES)
     with pytest.raises(CapExceededError, match="136 exceeds cap 135"):
         check_index_cap("X", INDEX_MAX_CLASSES + 1)

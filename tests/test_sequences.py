@@ -24,7 +24,7 @@ from knutson.sequences import (
     vanishing_certificate,
     zero_in_small_part_columns,
 )
-from knutson.symchar import cycle_types, mn_value, sn_table
+from knutson.symchar import mn_value, sn_table
 
 from oracles import (
     class_has_zero,
@@ -80,14 +80,14 @@ def test_L_sequences_from_the_degrees():
 
 def test_vanishing_certificate_is_reverified():
     for n in range(3, 12):
-        for ct in cycle_types(n):
-            cert = vanishing_certificate(ct.parts)
+        for mu in partitions(n):
+            cert = vanishing_certificate(mu)
             if cert is None:
                 continue
             shape, t, s = cert
             assert sum(shape) == n
-            assert t in ct.parts and s < ct.parts.count(t)
-            assert mn_value(shape, ct.parts) == 0
+            assert t in mu and s < mu.count(t)
+            assert mn_value(shape, mu) == 0
             # after the s stacked rim hooks of length t are stripped off
             # the first row, what remains is a t-core
             assert is_t_core((shape[0] - s * t,) + shape[1:], t)
@@ -95,9 +95,9 @@ def test_vanishing_certificate_is_reverified():
 
 def test_class_zero_certified_implies_zero():
     for n in range(3, 10):
-        for ct in cycle_types(n):
-            if class_zero_certified(n, ct):
-                assert any(mn_value(lam, ct.parts) == 0 for lam in partitions(n))
+        for mu in partitions(n):
+            if class_zero_certified(n, mu):
+                assert any(mn_value(lam, mu) == 0 for lam in partitions(n))
 
 
 def test_zero_in_every_column_matches_table():
@@ -121,6 +121,23 @@ def test_seq_zero_columns_makes_no_mn_value_call():
     before = mn_value.cache_info()
     seq_zero_columns_sn(30)
     assert mn_value.cache_info() == before
+
+
+def test_large_part_certificates_are_built_for_the_terms_only(monkeypatch):
+    # a non-term is decided by one of its classes with parts at most 3,
+    # so (n, t, 0) with t >= 4 is built exactly for the terms
+    calls = []
+    real = sequences._certificate
+
+    def recording(n, t, s):
+        calls.append((n, t, s))
+        return real(n, t, s)
+
+    monkeypatch.setattr(sequences, "_certificate", recording)
+    terms = seq_zero_columns_sn(30).terms
+    assert len(terms) < 30
+    got = sorted({(n, t) for n, t, s in calls if t >= 4 and s == 0})
+    assert got == [(n, t) for n in terms for t in range(4, n + 1)]
 
 
 @pytest.mark.parametrize("corrupt", ["non_core", "off_by_one_s"])

@@ -1,8 +1,9 @@
 """S_n and A_n character tables against independent classical oracles."""
 
 import re
+from collections import Counter
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from oracles import class_has_zero, class_has_zero_scan, fraction_entries, with_entry
@@ -18,10 +19,8 @@ from knutson.partitions import (
 )
 from knutson.symchar import (
     DEFAULT_CAP,
-    CycleType,
     an_table,
     check_group,
-    cycle_types,
     mn_value,
     rim_hook_removals,
     sn_table,
@@ -43,28 +42,50 @@ def _perm_cycle_type(perm):
     return tuple(sorted(parts, reverse=True))
 
 
+def _centralizer_order(mu):
+    # k^m m! for each part k of multiplicity m
+    return prod(k**m * factorial(m) for k, m in Counter(mu).items())
+
+
 def test_class_sizes_against_enumeration():
     for n in range(1, 7):
         counts = {}
         for perm in permutations(range(n)):
             ct = _perm_cycle_type(perm)
             counts[ct] = counts.get(ct, 0) + 1
-        for ct in cycle_types(n):
-            assert ct.class_size() == counts[ct.parts]
-            assert ct.centralizer_order() * ct.class_size() == factorial(n)
+        for cls in symchar._classes("sn", n):
+            assert cls.size == counts[cls.data]
+            assert _centralizer_order(cls.data) * cls.size == factorial(n)
 
 
 def test_cycle_type_parity_against_enumeration():
-    for n in range(1, 7):
+    # a cycle type has classes in A_n exactly when its permutations are
+    # even, and together they hold the even permutations
+    for n in range(3, 7):
+        in_an = {cls.data[0] for cls in symchar._classes("an", n)}
+        evens = 0
         for perm in permutations(range(n)):
-            ct = CycleType(_perm_cycle_type(perm))
             inversions = sum(
                 1
                 for i in range(n)
                 for j in range(i + 1, n)
                 if perm[i] > perm[j]
             )
-            assert ct.is_even() == (inversions % 2 == 0)
+            assert (_perm_cycle_type(perm) in in_an) == (inversions % 2 == 0)
+            evens += inversions % 2 == 0
+        assert sum(cls.size for cls in symchar._classes("an", n)) == evens
+
+
+def test_class_lists_end_with_the_identity_and_sum_to_the_order():
+    for kind, least, index in (("sn", 1, 1), ("an", 3, 2)):
+        for n in range(least, DEFAULT_CAP + 1):
+            classes = symchar._classes(kind, n)
+            identity = (1,) * n
+            assert classes[-1].label == f"({','.join('1' * n)})", (kind, n)
+            assert classes[-1].size == 1
+            assert classes[-1].data == (identity if kind == "sn" else (identity, 0))
+            assert sum(cls.size for cls in classes) == factorial(n) // index
+            assert check_group(kind, n)[1] == len(classes)
 
 
 def test_rim_hook_removals_shrink_by_t():
@@ -103,7 +124,7 @@ def test_mn_sign_and_conjugate_symmetry():
 def test_sn_table_small_known():
     t3 = sn_table(3)
     # classes in reverse-lex cycle-type order: (3), (2,1), (1,1,1)
-    assert [c.data.parts for c in t3.classes] == [(3,), (2, 1), (1, 1, 1)]
+    assert [c.data for c in t3.classes] == [(3,), (2, 1), (1, 1, 1)]
     rows = {ir.label: ir.values for ir in t3.irreps}
     assert rows["(3,)"] == (1, 1, 1)
     assert rows["(2, 1)"] == (-1, 0, 2)
@@ -225,22 +246,33 @@ def test_an_split_pair_sums_to_restriction():
             lam = eval(label)
             for k, cls in enumerate(table.classes):
                 total = pair[0].values[k] + pair[1].values[k]
-                assert rational_value(total) == mn_value(lam, cls.data[0].parts)
+                assert rational_value(total) == mn_value(lam, cls.data[0])
 
 
 def test_split_classes_are_distinct_odd_hooks():
+    # the even cycle types of distinct odd parts, and only they, give a
+    # '+' and a '-' class of half the S_n class's size
     for n in range(3, 10):
-        for ct in cycle_types(n):
-            expected = all(p % 2 for p in ct.parts) and len(set(ct.parts)) == len(
-                ct.parts
-            )
-            assert ct.splits_in_alternating() == expected
+        sizes = {cls.data: cls.size for cls in symchar._classes("sn", n)}
+        halves: dict[tuple, list] = {}
+        for cls in symchar._classes("an", n):
+            mu, half = cls.data
+            halves.setdefault(mu, []).append((half, cls.label, cls.size))
+        for mu, got in halves.items():
+            label = f"({','.join(map(str, mu))})"
+            if all(p % 2 for p in mu) and len(set(mu)) == len(mu):
+                size = sizes[mu] // 2
+                assert got == [(1, label + "+", size), (2, label + "-", size)]
+            else:
+                assert got == [(0, label, sizes[mu])]
     # principal hooks of a self-conjugate shape form such a cycle type
     for n in range(3, 12):
+        split = {
+            cls.data[0] for cls in symchar._classes("an", n) if cls.data[1]
+        }
         for lam in partitions(n):
             if conjugate(lam) == lam:
-                hooks = principal_hooks(lam)
-                assert CycleType(hooks).splits_in_alternating()
+                assert principal_hooks(lam) in split
 
 
 def test_class_has_zero_matches_direct_scan():
@@ -253,7 +285,7 @@ def test_s16_class_scan_makes_no_mn_value_call():
     # the one-column sweep answers every class of S16 without mn_value,
     # and the classes with a zero agree with the swept table's columns
     before = mn_value.cache_info()
-    got = [class_has_zero(16, ct.parts) for ct in cycle_types(16)]
+    got = [class_has_zero(16, mu) for mu in partitions(16)]
     assert mn_value.cache_info() == before
     table = sn_table(16)
     assert got == [
@@ -280,9 +312,9 @@ def test_nonvanishing_classes_small():
 def test_column_orthogonality_via_centralizers():
     # sum over shapes of chi(mu)^2 equals the centralizer order of mu
     for n in range(1, 9):
-        for ct in cycle_types(n):
-            total = sum(mn_value(lam, ct.parts) ** 2 for lam in partitions(n))
-            assert total == ct.centralizer_order()
+        for cls in symchar._classes("sn", n):
+            total = sum(mn_value(lam, cls.data) ** 2 for lam in partitions(n))
+            assert total == _centralizer_order(cls.data)
 
 
 def test_sn_sweep_equals_mn_value():
@@ -290,7 +322,7 @@ def test_sn_sweep_equals_mn_value():
         table = sn_table(n)
         for lam, ir in zip(partitions(n), table.irreps):
             for cls, value in zip(table.classes, ir.values):
-                assert value == mn_value(lam, cls.data.parts), (lam, cls.label)
+                assert value == mn_value(lam, cls.data), (lam, cls.label)
 
 
 def test_an_sweep_equals_mn_value():
@@ -302,10 +334,10 @@ def test_an_sweep_equals_mn_value():
             halved = ir.label[-1] in "+-"
             lam = eval(ir.label[:-1] if halved else ir.label)
             for cls, value in zip(table.classes, ir.values):
-                ct, half = cls.data
-                if halved and half and ct.parts == principal_hooks(lam):
+                mu, half = cls.data
+                if halved and half and mu == principal_hooks(lam):
                     continue
-                full = mn_value(lam, ct.parts)
+                full = mn_value(lam, mu)
                 assert value == (full // 2 if halved else full), (ir.label, cls.label)
 
 
@@ -317,4 +349,5 @@ def test_s18_columns_square_to_centralizers():
     assert mn_value.cache_info() == before
     for k, cls in enumerate(table.classes):
         total = sum(ir.values[k] ** 2 for ir in table.irreps)
-        assert total == cls.data.centralizer_order(), cls.label
+        assert total == _centralizer_order(cls.data), cls.label
+        assert total * cls.size == table.order, cls.label
