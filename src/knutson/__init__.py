@@ -25,8 +25,8 @@ _EXPORTS = {
     "partitions": ("count_t_cores", "exists_t_core", "find_t_core", "is_t_core"),
     "sequences": ("SequenceRecord", "seq_L_An", "seq_L_Sn", "seq_zero_columns_sn"),
     "sl2tables": (
-        "Sl2Param", "paper_rho_inverses", "psl2_table",
-        "rho_theorem_character", "sl2_table", "verify_rho_pm_obstruction",
+        "paper_rho_inverses", "psl2_table", "rho_theorem_character",
+        "sl2_table", "verify_rho_pm_obstruction",
     ),
     "symchar": ("an_table", "mn_value", "sn_table"),
 }

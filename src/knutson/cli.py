@@ -172,23 +172,21 @@ def cmd_table(args) -> int:
     return 0
 
 
-_SEQ_DEFAULT_LIMITS = {"a363675": 200, "a363676": 60, "a363701": 30}
-# sequence id -> its function's name in knutson.sequences, looked up there
-# at call time
+# sequence id -> (its function's name in knutson.sequences, looked up
+# there at call time, and its default --limit); the parser's choices
 _SEQ_FUNCS = {
-    "a363675": "seq_L_Sn",
-    "a363676": "seq_L_An",
-    "a363701": "seq_zero_columns_sn",
+    "a363675": ("seq_L_Sn", 200),
+    "a363676": ("seq_L_An", 60),
+    "a363701": ("seq_zero_columns_sn", 30),
 }
 
 
 def cmd_seq(args) -> int:
     from . import sequences
 
-    if args.id not in _SEQ_FUNCS:
-        raise UsageError(f"unknown sequence {args.id!r}")
-    limit = _SEQ_DEFAULT_LIMITS[args.id] if args.limit is None else args.limit
-    record = getattr(sequences, _SEQ_FUNCS[args.id])(limit)
+    func, default_limit = _SEQ_FUNCS[args.id]
+    limit = default_limit if args.limit is None else args.limit
+    record = getattr(sequences, func)(limit)
     if args.bfile:
         out = "".join(
             f"{i} {term}\n" for i, term in enumerate(record.terms, start=1)
@@ -248,7 +246,11 @@ def cmd_knutson(args) -> int:
         None if zc is None else {"certified_K_prime_equals_K": zc}
     )
     exit_code = 0
-    if args.kind == "sl2" and args.param % 2 and args.param >= 5:
+    # the rho report is part of every SL2(q) report for odd q >= 5, and
+    # --rho theorem asks for it of any table: _odd_q refuses the others
+    if args.rho == "theorem" or (
+        args.kind == "sl2" and args.param % 2 and args.param >= 5
+    ):
         from .sl2tables import paper_rho_inverses, verify_rho_pm_obstruction
 
         rho_report = paper_rho_inverses(table)
@@ -397,7 +399,7 @@ def _suite_sequences() -> list[dict]:
     ]
 
 
-def _suite_sl2_rho(q: int) -> list[dict]:
+def _suite_sl2_rho(q: int = 5) -> list[dict]:
     from .sl2tables import paper_rho_inverses, sl2_table
 
     report = paper_rho_inverses(sl2_table(q))
@@ -480,19 +482,26 @@ def _suite_cores() -> list[dict]:
     ]
 
 
+# suite name -> its checks, in the order of the parser's choices; only
+# sl2-rho takes --q
+_SUITES = {
+    "orthogonality": _suite_orthogonality,
+    "sequences": _suite_sequences,
+    "sl2-rho": _suite_sl2_rho,
+    "knutson-small": _suite_knutson_small,
+    "cores": _suite_cores,
+}
+
+
 def cmd_verify(args) -> int:
     import json
 
-    suites = {
-        "orthogonality": _suite_orthogonality,
-        "sequences": _suite_sequences,
-        "sl2-rho": lambda: _suite_sl2_rho(5 if args.q is None else args.q),
-        "knutson-small": _suite_knutson_small,
-        "cores": _suite_cores,
-    }
-    if args.suite not in suites:
-        raise UsageError(f"unknown suite {args.suite!r}")
-    checks = suites[args.suite]()
+    if args.q is None:
+        checks = _SUITES[args.suite]()
+    elif args.suite == "sl2-rho":
+        checks = _suite_sl2_rho(args.q)
+    else:
+        raise UsageError(f"--q applies to the sl2-rho suite only, not {args.suite}")
     ok = all(c["pass"] for c in checks)
     print(json.dumps({"suite": args.suite, "pass": ok, "checks": checks}, indent=2))
     return 0 if ok else 1
@@ -519,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_seq = sub.add_parser("seq", help="print an integer sequence")
-    p_seq.add_argument("id", choices=sorted(_SEQ_FUNCS))
+    p_seq.add_argument("id", choices=list(_SEQ_FUNCS))
     p_seq.add_argument("--limit", type=int, default=None)
     p_seq.add_argument("--bfile", action="store_true")
     p_seq.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -532,10 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kn.set_defaults(func=cmd_knutson)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument(
-        "suite",
-        choices=["orthogonality", "sequences", "sl2-rho", "knutson-small", "cores"],
-    )
+    p_ver.add_argument("suite", choices=list(_SUITES))
     p_ver.add_argument("--q", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -2,7 +2,7 @@
 
 The tables are instantiated from the classical generic table,
 parametrized by abstract roots of unity alpha of order q-1 and beta of
-order q+1 (realized inside Q(zeta_m) with m = lcm(q-1, q+1), the least
+order q+1 (realized inside Q(zeta_n) with n = lcm(q-1, q+1), the least
 field holding both; p would only enlarge it) and, for odd q, the
 quadratic element tau with tau^2 = eps*q where eps = (-1)^((q-1)/2),
 kept formal.  No matrix realizations are needed; the classes
@@ -28,8 +28,10 @@ family is therefore one row spec: its degree, omega, its values on c
 and d, and its values on the a^l and b^m.  The central columns come
 from the degree and the zc, zd columns from the c, d values; nothing
 is written out twice.  The same specs serve even q, which has one
-unipotent class and no z.  Sl2Param.from_q is the one check of the
-caps: q <= ODD_CAP for odd q and q <= EVEN_CAP for even q.
+unipotent class and no z.  check_group is the one check of q and of
+the caps, q <= ODD_CAP for odd q and q <= EVEN_CAP for even q, and the
+one source of a table's label: sl2_table and psl2_table take theirs
+from it.
 
 The rho machinery lives here too, the one import of higher layers
 (charring, knutsonlat) by a table module.  It takes the SL2(q) table its
@@ -74,104 +76,62 @@ EVEN_CAP = 32
 ODD_CAP = 13
 
 
-@dataclass(frozen=True)
-class Sl2Param:
-    """The numerics hanging off a prime power q = p^f."""
-
-    q: int
-    p: int
-    f: int
-
-    @classmethod
-    def from_q(cls, q: int) -> "Sl2Param":
-        """The parameters of q, and the one check of the SL2 caps.
-
-        q above both caps raises CapExceededError before it is
-        factorised, a prime power above the cap of its parity after;
-        q < 2 is not a prime power and is not factorised.
-        """
-        top = max(EVEN_CAP, ODD_CAP)
-        if q > top:
-            raise CapExceededError(f"q = {q} exceeds the largest supported q, {top}")
-        fac = factorize(q) if q > 1 else []
-        if len(fac) != 1:
-            raise ValueError(f"q = {q} is not a prime power")
-        p, f = fac[0]
-        cap = EVEN_CAP if p == 2 else ODD_CAP
-        if q > cap:
-            raise CapExceededError(f"q = {q} exceeds cap {cap}")
-        return cls(q, p, f)
-
-    @property
-    def is_even(self) -> bool:
-        return self.q % 2 == 0
-
-    @property
-    def eps(self) -> int:
-        """(-1)^((q-1)/2); only defined for odd q."""
-        if self.is_even:
-            raise ValueError("eps is defined for odd q only")
-        return -1 if self.q % 4 == 3 else 1
-
-    @property
-    def tau_sq(self) -> int:
-        return 0 if self.is_even else self.eps * self.q
-
-    @property
-    def m(self) -> int:
-        """Order of the least cyclotomic field holding alpha and beta:
-        lcm(q-1, q+1).  tau is formal, so p adds nothing to it."""
-        return lcm(self.q - 1, self.q + 1)
-
-    @property
-    def order(self) -> int:
-        return self.q * (self.q * self.q - 1)
-
-
 def check_group(kind: str, q: int) -> tuple[str, int]:
     """(label, class count) of the SL2(q) ("sl2") or PSL2(q) ("psl2")
-    table, known before it is built; Sl2Param.from_q checks q.  SL2(q)
-    has the q + 4 classes listed above for odd q, and PSL2(q) (q + 5)/2;
-    for even q both are one group of q + 1 classes."""
-    Sl2Param.from_q(q)
+    table, known before it is built, and the one check of q and the caps.
+
+    q above both caps raises CapExceededError before it is factorised,
+    a prime power above the cap of its parity after; q < 2 is not a
+    prime power and is not factorised.  SL2(q) has the q + 4 classes
+    listed above for odd q, and PSL2(q) (q + 5)/2; for even q both are
+    one group of q + 1 classes.
+    """
+    top = max(EVEN_CAP, ODD_CAP)
+    if q > top:
+        raise CapExceededError(f"q = {q} exceeds the largest supported q, {top}")
+    if len(factorize(q) if q > 1 else []) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
     if q % 2 == 0:
-        count = q + 1
+        cap, count = EVEN_CAP, q + 1
     else:
-        count = q + 4 if kind == "sl2" else (q + 5) // 2
+        cap, count = ODD_CAP, q + 4 if kind == "sl2" else (q + 5) // 2
+    if q > cap:
+        raise CapExceededError(f"q = {q} exceeds cap {cap}")
     return f"{kind.upper()}({q})", count
 
 
-def _pair(par: Sl2Param, n: int, k: int) -> CyclotomicTau:
-    """x^k + x^(-k) for x of order n: alpha for n = q - 1, beta for q + 1."""
-    m, s = par.m, (par.m // n) * k
-    return (
-        CyclotomicTau.root_of_unity(m, s, par.tau_sq)
-        + CyclotomicTau.root_of_unity(m, -s, par.tau_sq)
-    )
+def _sl2(q: int, label: str) -> CharacterTable:
+    """The generic table of SL2(q), labelled label, for a q that
+    check_group passed: one row spec per family.
 
-
-def _half_tau(par: Sl2Param, a: int, b: int) -> CyclotomicTau:
-    """(a + b*tau) / 2."""
-    return CyclotomicTau(
-        par.m, par.tau_sq, {0: Fraction(a, 2)}, {0: Fraction(b, 2)}
-    )
-
-
-def _sl2(par: Sl2Param) -> CharacterTable:
-    """The generic table of SL2(q), one row spec per family.
-
-    A spec is (label, degree, omega, values on c and d, values on the
+    A spec is (name, degree, omega, values on c and d, values on the
     a^l, values on the b^m).  Each irreducible is a scalar omega on the
     centre, so its value at z^k g is omega^k times its value at g: that
     gives the central columns from the degree and the zc, zd columns
     from the c, d values.  Even q has no d and a trivial centre, and
     only the first unipotent value of a spec is used.
     """
-    q = par.q
+    even = q % 2 == 0
+    eps = -1 if q % 4 == 3 else 1  # (-1)^((q-1)/2), read for odd q only
+    tau_sq = 0 if even else eps * q
+    n = lcm(q - 1, q + 1)
+
+    def pair(d: int, k: int) -> CyclotomicTau:
+        """x^k + x^(-k) for x of order d: alpha for d = q - 1, beta for q + 1."""
+        s = (n // d) * k
+        return (
+            CyclotomicTau.root_of_unity(n, s, tau_sq)
+            + CyclotomicTau.root_of_unity(n, -s, tau_sq)
+        )
+
+    def half_tau(a: int, b: int) -> CyclotomicTau:
+        """(a + b*tau) / 2."""
+        return CyclotomicTau(n, tau_sq, {0: Fraction(a, 2)}, {0: Fraction(b, 2)})
+
     na, nb = (q - 2) // 2, q // 2
     ells, ems = range(1, na + 1), range(1, nb + 1)
-    centre = ("1",) if par.is_even else ("1", "z")
-    unipotent = ("c",) if par.is_even else ("c", "d")
+    centre = ("1",) if even else ("1", "z")
+    unipotent = ("c",) if even else ("c", "d")
     zu = [u if z == "1" else z + u for z in centre for u in unipotent]
 
     classes = [ConjClass(z, 1, (z,)) for z in centre]
@@ -185,18 +145,17 @@ def _sl2(par: Sl2Param) -> CharacterTable:
     ]
     specs += [
         (f"chi{i}", q + 1, (-1) ** i, (1, 1),
-         tuple(_pair(par, q - 1, i * l) for l in ells), (0,) * nb)
+         tuple(pair(q - 1, i * l) for l in ells), (0,) * nb)
         for i in ells
     ]
     specs += [
         (f"theta{j}", q - 1, (-1) ** j, (-1, -1),
-         (0,) * na, tuple(-_pair(par, q + 1, j * m) for m in ems))
+         (0,) * na, tuple(-pair(q + 1, j * m) for m in ems))
         for j in ems
     ]
-    if not par.is_even:
-        eps = par.eps
-        hpp, hpm = _half_tau(par, 1, 1), _half_tau(par, 1, -1)
-        hmp, hmm = _half_tau(par, -1, 1), _half_tau(par, -1, -1)
+    if not even:
+        hpp, hpm = half_tau(1, 1), half_tau(1, -1)
+        hmp, hmm = half_tau(-1, 1), half_tau(-1, -1)
         xi_a = tuple((-1) ** l for l in ells)
         eta_b = tuple((-1) ** (m + 1) for m in ems)
         specs += [
@@ -208,19 +167,20 @@ def _sl2(par: Sl2Param) -> CharacterTable:
     powers = range(len(centre))
     irreps = [
         Irrep(
-            label, degree,
+            name, degree,
             tuple(omega**k * degree for k in powers)
             + tuple(omega**k * v for k in powers for v in uni[: len(unipotent)])
             + on_ells + on_ems,
         )
-        for label, degree, omega, uni, on_ells, on_ems in specs
+        for name, degree, omega, uni, on_ells, on_ems in specs
     ]
-    return CharacterTable(f"SL2({q})", par.order, tuple(classes), tuple(irreps))
+    return CharacterTable(label, q * (q * q - 1), tuple(classes), tuple(irreps))
 
 
 def sl2_table(q: int) -> CharacterTable:
     """Exact character table of SL2(q); orthogonality-validated."""
-    table = _sl2(Sl2Param.from_q(q))
+    label, _count = check_group("sl2", q)
+    table = _sl2(q, label)
     table.check_orthogonality()
     return table
 
@@ -233,8 +193,9 @@ def center_fixed_indices(table: CharacterTable) -> list[int]:
     ]
 
 
-def _psl2_odd(sl2: CharacterTable) -> CharacterTable:
-    """The table of SL2(q) / {+-1} for odd q, read off the SL2(q) table.
+def _psl2_odd(sl2: CharacterTable, label: str) -> CharacterTable:
+    """The table of SL2(q) / {+-1} for odd q, labelled label, read off
+    the SL2(q) table.
 
     The rows fixing -id are the full table of PSL2(q), so they separate
     its classes and agree on g and -g: SL2 columns with equal values on
@@ -259,20 +220,18 @@ def _psl2_odd(sl2: CharacterTable) -> CharacterTable:
         Irrep(ir.label, ir.degree, tuple(ir.values[ks[0]] for ks in groups.values()))
         for ir in kept
     )
-    return CharacterTable(f"P{sl2.label}", sl2.order // 2, classes, irreps)
+    return CharacterTable(label, sl2.order // 2, classes, irreps)
 
 
 def psl2_table(q: int) -> CharacterTable:
     """Exact character table of PSL2(q); equals SL2(q) for even q.  It
     is read off unchecked SL2(q) rows and checked as itself."""
-    sl2 = _sl2(Sl2Param.from_q(q))
+    label, _count = check_group("psl2", q)
     if q % 2 == 0:
-        table = CharacterTable(
-            f"PSL2({q})", sl2.order, sl2.classes, sl2.irreps,
-            sl2.identity_index,
-        )
+        table = _sl2(q, label)
     else:
-        table = _psl2_odd(sl2)
+        sl2_label, _count = check_group("sl2", q)
+        table = _psl2_odd(_sl2(q, sl2_label), label)
     table.check_orthogonality()
     return table
 

@@ -184,17 +184,6 @@ def sn_table(n: int) -> CharacterTable:
     return CharacterTable(label, factorial(n), classes, tuple(irreps), len(classes) - 1)
 
 
-def _split_value(lam: Partition) -> tuple[int, MultiQuadratic, MultiQuadratic]:
-    """(epsilon, plus value, minus value) on the split classes of shape
-    principal_hooks(lam), for self-conjugate lam."""
-    hooks = principal_hooks(lam)
-    n, r = sum(lam), len(hooks)
-    eps = (-1) ** ((n - r) // 2)
-    root = MultiQuadratic.sqrt(eps * prod(hooks), Fraction(1, 2))
-    half_eps = MultiQuadratic({1: Fraction(eps, 2)})
-    return eps, half_eps + root, half_eps - root
-
-
 def an_table(n: int) -> CharacterTable:
     """Exact character table of A_n (n >= 3), values in MultiQuadratic or int.
 
@@ -214,8 +203,12 @@ def an_table(n: int) -> CharacterTable:
         if lam != conjugate(lam):
             irreps.append(Irrep(str(lam), degree_hook(lam), tuple(row)))
             continue
+        # the values on the split classes of cycle type hooks
         hooks = principal_hooks(lam)
-        _eps, v_plus, v_minus = _split_value(lam)
+        eps = (-1) ** ((n - len(hooks)) // 2)
+        root = MultiQuadratic.sqrt(eps * prod(hooks), Fraction(1, 2))
+        half_eps = MultiQuadratic({1: Fraction(eps, 2)})
+        v_plus, v_minus = half_eps + root, half_eps - root
         half_degree = degree_hook(lam) // 2
         vals_p, vals_m = [], []
         for c, full in zip(classes, row):

@@ -584,16 +584,16 @@ def test_warm_sl2_rho_report_builds_no_table(capsys, monkeypatch):
     # from the cache, and report what a fresh build reports
     builds, build = [], sl2tables._sl2
 
-    def counted(par):
-        builds.append(par.q)
-        return build(par)
+    def counted(q, label):
+        builds.append(q)
+        return build(q, label)
 
     monkeypatch.setattr(sl2tables, "_sl2", counted)
     argv = ["knutson", "sl2", "13", "--rho", "theorem", "--format", "json"]
     assert main(argv + ["--no-cache"]) == 0
     fresh = capsys.readouterr().out
     assert builds == [13]
-    cache_store("sl2-13", build(sl2tables.Sl2Param.from_q(13)))
+    cache_store("sl2-13", build(13, "SL2(13)"))
     builds.clear()
     assert main(argv) == 0
     assert builds == []
@@ -892,6 +892,46 @@ def test_zero_limit_and_q_exit_2(capsys, argv):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "kind, param, label",
+    [("psl2", 5, "PSL2(5)"), ("sl2", 3, "SL2(3)"), ("sn", 5, "S5"),
+     ("sl2", 8, "SL2(8)")],
+)
+def test_rho_theorem_on_a_table_without_rho_exits_2(capsys, kind, param, label):
+    # --rho theorem asks for the obstruction, which only SL2(q) for odd
+    # q >= 5 carries: any other table is refused, not reported without it
+    argv = ["knutson", kind, str(param), "--rho", "theorem", "--no-cache"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the rho machinery requires SL2(q) for odd q >= 5, "
+        f"not {label}\n"
+    )
+
+
+@pytest.mark.parametrize("suite", ["sequences", "knutson-small", "cores"])
+def test_q_on_a_suite_other_than_sl2_rho_exits_2(capsys, suite):
+    assert main(["verify", suite, "--q", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --q applies to the sl2-rho suite only, not {suite}\n"
+
+
+def test_seq_and_verify_choices_are_their_dispatch_tables(capsys):
+    # one table per command names its choices and dispatches them, and
+    # argparse rejects any other id before the command runs
+    for argv, choices in (
+        (["seq", "nope"], cli._SEQ_FUNCS), (["verify", "nope"], cli._SUITES)
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        listed = capsys.readouterr().err.split("choose from", 1)[1]
+        at = [listed.find(name) for name in choices]
+        assert -1 not in at and at == sorted(at), listed
+
+
 @pytest.mark.parametrize("q", (0, -1, -4))
 @pytest.mark.parametrize(
     "argv",
@@ -952,7 +992,7 @@ def test_knutson_index_cap_before_any_sl2_table_is_built(
 ):
     # every kind's class count comes from its parameter: with the cap
     # below SL2(13)'s 17 classes and PSL2(13)'s 9, neither is built
-    def no_build(par):
+    def no_build(q, label):
         raise AssertionError("table built past the index cap")
 
     monkeypatch.setattr(knutsonlat, "INDEX_MAX_CLASSES", 8)

@@ -73,6 +73,14 @@ CASES = {
     "table_an_2.txt": (2, ("table", "an", "2", "--no-cache")),
     "table_sn_8.csv": (0, ("table", "sn", "8", "--format", "csv", "--no-cache")),
     "table_an_9.txt": (0, ("table", "an", "9", "--no-cache")),
+    "table_psl2_6.txt": (2, ("table", "psl2", "6", "--no-cache")),
+    "knutson_psl2_33.txt": (3, ("knutson", "psl2", "33", "--no-cache")),
+    "table_psl2_27.txt": (3, ("table", "psl2", "27", "--no-cache")),
+    "verify_sl2_rho_3.txt": (2, ("verify", "sl2-rho", "--q", "3")),
+    "knutson_psl2_13_theorem.txt": (
+        2, ("knutson", "psl2", "13", "--rho", "theorem", "--no-cache")
+    ),
+    "verify_orthogonality_q.txt": (2, ("verify", "orthogonality", "--q", "5")),
 }
 
 

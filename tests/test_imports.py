@@ -146,3 +146,5 @@ def test_dir_lists_the_public_names_and_others_raise():
     assert set(knutson.__all__) <= set(dir(knutson))
     with pytest.raises(AttributeError):
         knutson.class_has_zero  # a test oracle now, in tests/oracles.py
+    with pytest.raises(AttributeError):
+        knutson.Sl2Param  # sl2tables.check_group checks q

@@ -11,7 +11,6 @@ from knutson.errors import CapExceededError, TableError
 from knutson.sl2tables import (
     EVEN_CAP,
     ODD_CAP,
-    Sl2Param,
     _psl2_odd,
     center_fixed_indices,
     check_group,
@@ -33,10 +32,11 @@ EVEN_QS = (2, 4, 8)
 
 def test_param_rejects_non_prime_powers():
     for q in (-4, -1, 0, 1, 6, 10, 12, 15):
-        with pytest.raises(ValueError, match=f"^q = {q} is not a prime power$"):
-            Sl2Param.from_q(q)
-    assert Sl2Param.from_q(9).p == 3
-    assert Sl2Param.from_q(8).f == 3
+        for kind in ("sl2", "psl2"):
+            with pytest.raises(ValueError, match=f"^q = {q} is not a prime power$"):
+                check_group(kind, q)
+    assert check_group("sl2", 9) == ("SL2(9)", 13)
+    assert check_group("psl2", 8) == ("PSL2(8)", 9)
 
 
 def test_caps():
@@ -52,19 +52,21 @@ def test_param_caps_q_before_factorising():
     # every q above both caps is refused before it is factorised, prime
     # power or not (test_cli times a huge q)
     for q in (33, 37, 64):
-        with pytest.raises(CapExceededError, match="largest supported q"):
-            Sl2Param.from_q(q)
-    assert Sl2Param.from_q(max(EVEN_CAP, ODD_CAP)).f == 5
+        for kind in ("sl2", "psl2"):
+            with pytest.raises(CapExceededError, match="largest supported q"):
+                check_group(kind, q)
+    assert check_group("sl2", max(EVEN_CAP, ODD_CAP)) == ("SL2(32)", 33)
 
 
 def test_param_caps_by_parity():
     # odd q above ODD_CAP is refused after factorising; even q up to
     # EVEN_CAP still parses
     for q in (17, 27):
-        with pytest.raises(CapExceededError, match=f"q = {q} exceeds cap {ODD_CAP}"):
-            Sl2Param.from_q(q)
-    assert Sl2Param.from_q(16).f == 4
-    assert Sl2Param.from_q(32).f == 5
+        for kind in ("sl2", "psl2"):
+            with pytest.raises(CapExceededError, match=f"q = {q} exceeds cap {ODD_CAP}"):
+                check_group(kind, q)
+    assert check_group("psl2", 16) == ("PSL2(16)", 17)
+    assert check_group("psl2", 32) == ("PSL2(32)", 33)
 
 
 # every q within the caps: the prime powers up to ODD_CAP and the powers
@@ -206,7 +208,7 @@ def test_psl2_rejects_a_kept_row_split_by_the_center(q):
     for i in center_fixed_indices(sl2):
         bad = with_entry(sl2, i, zc, sl2.irreps[i].values[zc] + 1)
         with pytest.raises(TableError, match="class/irrep count"):
-            _psl2_odd(bad)
+            _psl2_odd(bad, f"PSL2({q})")
 
 
 @pytest.mark.parametrize(
